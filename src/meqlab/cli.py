@@ -3,7 +3,8 @@
 Subcommands are thin adapters onto the library: build writes the stock
 constructions, simulate replays one input, verify/search decide exhaustively,
 transform rewrites a protocol file, figure dumps the crossover CSV. Output is
-deterministic; exit codes: 0 ok, 1 usage, 2 counterexample, 3 budget.
+deterministic; exit codes: 0 ok, 1 usage error or malformed protocol file
+(an `error:` line on stderr, never a traceback), 2 counterexample, 3 budget.
 """
 
 import argparse
@@ -11,7 +12,14 @@ import sys
 
 from . import constructions, serial, transforms
 from .coloring import SearchBudgetError, optimal_search
-from .core import GeneralProtocol, TableProtocol, complexity, simulate, table_to_general
+from .core import (
+    GeneralProtocol,
+    MalformedProtocolError,
+    TableProtocol,
+    complexity,
+    simulate,
+    table_to_general,
+)
 from .verify import DEFAULT_BUDGET, EnumerationBudgetError, verify_ad, verify_cd
 
 EXIT_OK = 0
@@ -185,7 +193,7 @@ def run(argv: list[str]) -> int:
     except SearchBudgetError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, OSError) as err:
+    except (ValueError, KeyError, OSError, MalformedProtocolError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -265,13 +265,9 @@ def _run_table(t: TableProtocol, values) -> tuple[list, list, list, list]:
 
 
 def decisions_on(p: Protocol, values) -> list[int]:
-    """Per-node decision bits for one raw input tuple (no transcript built)."""
+    """Per-node decision bits for one raw, already validated input tuple."""
     if isinstance(p, TableProtocol):
-        out = [0] * p.n
-        for lk in p.links:
-            if lk.symbols[values[lk.sender - 1] - 1] != lk.symbols[values[lk.receiver - 1] - 1]:
-                out[lk.receiver - 1] = 1
-        return out
+        return _run_table(p, values)[3]
     return _run_general(p, values)[3]
 
 

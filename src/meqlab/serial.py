@@ -37,35 +37,77 @@ def protocol_to_doc(p: Protocol) -> dict:
     return {"kind": "general", "n": p.n, "M": p.M, "steps": steps, "decisions": decisions}
 
 
+def _integer(value, what: str) -> int:
+    # bool is a subclass of int, but true/false is no count or symbol
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _lookup(raw, what: str) -> dict:
+    """An (input, history) -> output table from its list of entries."""
+    # checked inline rather than through _integer: general files hold up to
+    # hundreds of thousands of entries, and a call per field doubles load time
+    table = {}
+    for e in _list(raw, what):
+        if not (
+            isinstance(e, dict)
+            and type(e["input"]) is int
+            and type(e["out"]) is int
+            and type(e["history"]) is list
+            and all(type(h) is int for h in e["history"])
+        ):
+            raise ValueError(f"{what} entry {e!r} is not integer input, history and output")
+        table[(e["input"], tuple(e["history"]))] = e["out"]
+    return table
+
+
 def protocol_from_doc(doc: dict) -> Protocol:
+    """The protocol a document describes. Raises ValueError (KeyError for a
+    missing field) on a document that does not follow the schema."""
+    doc = _object(doc, "protocol document")
     kind = doc.get("kind")
+    if kind not in ("table", "general"):
+        raise ValueError(f"unknown document kind {kind!r}")
+    n = _integer(doc["n"], "n")
+    M = _integer(doc["M"], "M")
     if kind == "table":
-        links = tuple(
-            LinkTable(
-                entry["from"],
-                entry["to"],
-                tuple(entry["symbols"]),
-                entry.get("range", 0),
-            )
-            for entry in doc["links"]
-        )
-        return TableProtocol(doc["n"], doc["M"], links)
-    if kind == "general":
-        steps = tuple(
-            Step(
-                raw["from"],
-                raw["to"],
-                {(e["input"], tuple(e["history"])): e["out"] for e in raw["table"]},
-                raw["range"],
-            )
-            for raw in doc["steps"]
-        )
-        decisions = {
-            raw["node"]: {(e["input"], tuple(e["history"])): e["out"] for e in raw["table"]}
-            for raw in doc.get("decisions", [])
-        }
-        return GeneralProtocol(doc["n"], doc["M"], steps, decisions)
-    raise ValueError(f"unknown document kind {kind!r}")
+        links = []
+        for entry in _list(doc["links"], "links"):
+            entry = _object(entry, "link")
+            links.append(LinkTable(
+                _integer(entry["from"], "link endpoint"),
+                _integer(entry["to"], "link endpoint"),
+                tuple(_integer(sym, "symbol") for sym in _list(entry["symbols"], "symbols")),
+                _integer(entry.get("range", 0), "range"),
+            ))
+        return TableProtocol(n, M, tuple(links))
+    steps = []
+    for raw in _list(doc["steps"], "steps"):
+        raw = _object(raw, "step")
+        steps.append(Step(
+            _integer(raw["from"], "step endpoint"),
+            _integer(raw["to"], "step endpoint"),
+            _lookup(raw["table"], "step table"),
+            _integer(raw["range"], "range"),
+        ))
+    decisions = {}
+    for raw in _list(doc.get("decisions", []), "decisions"):
+        raw = _object(raw, "decision")
+        decisions[_integer(raw["node"], "decision node")] = _lookup(raw["table"], "decision table")
+    return GeneralProtocol(n, M, tuple(steps), decisions)
 
 
 def bipartite_to_doc(g: BipartiteRep, colors: tuple[int, ...] | None = None) -> dict:

@@ -1,6 +1,7 @@
+import itertools
 import random
 
-from meqlab import BipartiteRep, LinkTable, TableProtocol, conflict_pairs
+from meqlab import BipartiteRep, LinkTable, TableProtocol, Verdict, conflict_pairs, simulate
 
 
 def dense_random_table(rng: random.Random, M: int) -> tuple[int, ...]:
@@ -41,3 +42,26 @@ def random_correct_protocol(rng: random.Random, M: int) -> TableProtocol:
         LinkTable(1, 3, ac),
         LinkTable(2, 3, bc),
     ))
+
+
+def brute_force_verdicts(p) -> dict:
+    """Exhaustive verdicts by replaying `simulate` on every input in
+    lexicographic order, independent of `meqlab.verify`.
+
+    Key None holds the anyone-detects verdict and key d the
+    centralized-detect verdict with detector d. A failing verdict reports its
+    counterexample's 1-based rank as the vectors checked.
+    """
+    flavours = (None, *range(1, p.n + 1))
+    found = {}
+    inputs = itertools.product(range(1, p.M + 1), repeat=p.n)
+    for rank, values in enumerate(inputs, 1):
+        decisions = simulate(p, values).decisions
+        unequal = int(len(set(values)) > 1)
+        for d in flavours:
+            raised = int(any(decisions)) if d is None else decisions[d - 1]
+            if d not in found and raised != unequal:
+                found[d] = Verdict(False, (values, decisions), rank)
+        if len(found) == len(flavours):
+            break
+    return {d: found.get(d, Verdict(True, None, p.M**p.n)) for d in flavours}

@@ -118,3 +118,40 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "mystery"}), encoding="utf-8")
     assert run(["verify", "--ad", str(bad)]) == 1
+
+
+def assert_clean_error(capsys, code):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_malformed_general_file(tmp_path, capsys):
+    # right on inputs (1, 1) and (1, 2), but step 1 has no entry for input 2
+    doc = {
+        "kind": "general", "n": 2, "M": 2,
+        "steps": [{"from": 1, "to": 2, "range": 1,
+                   "table": [{"input": 1, "history": [], "out": 1}]}],
+        "decisions": [{"node": 2, "table": [{"input": 1, "history": [1], "out": 0},
+                                            {"input": 2, "history": [1], "out": 1}]}],
+    }
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_clean_error(capsys, run(["verify", "--ad", str(path)]))
+    assert_clean_error(capsys, run(["transform", str(path), "--iid", "--out", str(tmp_path / "o.json")]))
+
+
+def test_document_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"kind": "table"}]), encoding="utf-8")
+    assert_clean_error(capsys, run(["verify", "--ad", str(path)]))
+
+
+def test_fractional_symbol(tmp_path, capsys):
+    path = tmp_path / "t36.json"
+    save_protocol(table36(), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["links"][0]["symbols"][-1] = 3.5  # the largest symbol, so no density check rejects it
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_clean_error(capsys, run(["verify", "--ad", str(path)]))

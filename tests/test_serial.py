@@ -77,3 +77,34 @@ def test_bipartite_round_trip():
     assert inst is not None and inst.colors == (1, 2, 3, 1, 2, 3)
     plain, none_inst = bipartite_from_doc(bipartite_to_doc(g))
     assert plain == g and none_inst is None
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("n",), 3.0),
+        (("M",), "6"),
+        (("links", 0, "from"), True),
+        (("links", 1, "to"), None),
+        (("links", 0, "symbols", 5), 3.5),
+        (("links",), {"from": 1}),
+        (("links", 0), [1, 2]),
+    ],
+)
+def test_non_integer_fields_rejected(path, value):
+    doc = protocol_to_doc(table36())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError):
+        protocol_from_doc(doc)
+
+
+def test_non_integer_general_entries_rejected():
+    doc = protocol_to_doc(table_to_general(table36()))
+    doc["steps"][0]["table"][0]["history"] = ["1"]
+    with pytest.raises(ValueError):
+        protocol_from_doc(doc)
+    with pytest.raises(ValueError):
+        protocol_from_doc([doc])

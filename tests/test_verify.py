@@ -48,6 +48,13 @@ def test_mutated_protocol_fails_with_reproducible_counterexample():
     assert not any(decisions) and eq_oracle(values) == 1
 
 
+def test_counterexample_reports_its_rank():
+    verdict = verify_ad(mutate_third_link(2))
+    assert verdict.counterexample[0] == (3, 4, 2)
+    # 1 + 2*36 + 3*6 + 1*1: the vectors up to and including (3, 4, 2)
+    assert verdict.vectors_checked == 92
+
+
 def test_centralized_check_fails_for_table36():
     verdict = verify_cd(table36(), detector=3)
     assert not verdict.ok

@@ -1,0 +1,124 @@
+"""The verifiers against the brute-force oracle, on random and stock protocols.
+
+Table protocols are decided by the join search and general protocols by
+replay; both must return exactly the oracle's Verdict, including the
+counterexample's decisions and rank.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meqlab import (
+    GeneralProtocol,
+    LinkTable,
+    Step,
+    TableProtocol,
+    VectorMapping,
+    Verdict,
+    cd_wrapper,
+    conflict_pairs,
+    extended_table,
+    meq3_2k,
+    parallel_compose,
+    star_protocol,
+    table36,
+    table_to_general,
+    to_bipartite,
+    verify_ad,
+    verify_cd,
+)
+
+from conftest import brute_force_verdicts
+
+
+def assert_matches_oracle(p):
+    expected = brute_force_verdicts(p)
+    assert verify_ad(p) == expected[None]
+    for d in range(1, p.n + 1):
+        assert verify_cd(p, d) == expected[d], f"detector {d}"
+
+
+@st.composite
+def table_protocols(draw):
+    n = draw(st.integers(2, 5))
+    M = draw(st.integers(1, 9))
+    links = []
+    for s in range(1, n + 1):
+        for r in range(s + 1, n + 1):
+            if not draw(st.booleans()):
+                continue
+            # injective links make correct protocols and late counterexamples common
+            if draw(st.booleans()):
+                raw = draw(st.permutations(range(1, M + 1)))
+            else:
+                top = draw(st.integers(1, M))
+                raw = draw(st.lists(st.integers(1, top), min_size=M, max_size=M))
+            dense = {sym: i for i, sym in enumerate(sorted(set(raw)), 1)}
+            links.append(LinkTable(s, r, tuple(dense[sym] for sym in raw)))
+    return TableProtocol(n, M, tuple(links))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_protocols())
+def test_random_tables_match_brute_force(p):
+    assert_matches_oracle(p)
+
+
+def table36_conflict_merges():
+    """table36 with the third link's symbol of y set to that of x, for each
+    of its 12 conflict pairs (x, y): each breaks the strong colouring."""
+    t = table36()
+    bc = t.link(2, 3).symbols
+    for x, y in sorted(conflict_pairs(to_bipartite(t))):
+        merged = list(bc)
+        merged[y - 1] = bc[x - 1]
+        yield TableProtocol(3, 6, (t.link(1, 2), t.link(1, 3), LinkTable(2, 3, tuple(merged))))
+
+
+STOCK = {
+    "table36": table36(),
+    "ext6h-2": extended_table(2),
+    "star-4-6": star_protocol(4, 6),
+    "bin2k-4": meq3_2k(4),
+    "par6h-2": parallel_compose(table36(), VectorMapping.radix(36, 6, 2)),
+    "cdwrap-table36": cd_wrapper(table36()),
+    **{f"table36-merge-{i}": p for i, p in enumerate(table36_conflict_merges(), 1)},
+}
+
+
+@pytest.mark.parametrize("p", STOCK.values(), ids=STOCK.keys())
+def test_stock_protocols_match_brute_force(p):
+    assert_matches_oracle(p)
+
+
+def test_merges_fail_on_both_paths():
+    merges = list(table36_conflict_merges())
+    assert len(merges) == 12
+    for p in merges:
+        verdict = verify_ad(p)
+        assert not verdict.ok
+        assert verify_ad(table_to_general(p)) == verdict
+
+
+def test_protocol_without_links():
+    p = TableProtocol(3, 4, ())
+    assert_matches_oracle(p)
+    counterexample = Verdict(False, ((1, 1, 2), (0, 0, 0)), 2)
+    assert verify_ad(p) == counterexample
+    assert verify_cd(p) == counterexample
+
+
+def test_single_value_alphabet():
+    p = TableProtocol(3, 1, (LinkTable(1, 2, (1,)), LinkTable(2, 3, (1,))))
+    assert verify_ad(p) == Verdict(True, None, 1)
+    assert verify_cd(p, 2) == Verdict(True, None, 1)
+    general = GeneralProtocol(2, 1, (Step(1, 2, {(1, ()): 1}, 1),), {2: {(1, (1,)): 0}})
+    assert verify_ad(general) == Verdict(True, None, 1)
+
+
+def test_detector_without_incoming_link():
+    # node 2 of the star only sends; node 4 spots the difference
+    verdict = verify_cd(star_protocol(4, 6), detector=2)
+    assert verdict == Verdict(False, ((1, 1, 1, 2), (0, 0, 0, 1)), 2)
+    assert verify_cd(table36(), detector=1).counterexample[0] == (1, 1, 2)
