@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import LinkTable, TableProtocol
+from .core import TableProtocol, dense_link
 from .verify import verify_ad
 
 
@@ -159,18 +159,10 @@ def protocol_from_coloring(inst: ColoringInstance) -> TableProtocol:
     its left vertex on 1->2, its right vertex on 1->3, its color on 2->3.
     Symbols are renumbered densely in ascending order."""
     g = inst.graph
-
-    def dense(values):
-        rank = {s: r for r, s in enumerate(sorted(set(values)), 1)}
-        return tuple(rank[s] for s in values)
-
-    ab = dense(tuple(u for u, _ in g.edges))
-    ac = dense(tuple(v for _, v in g.edges))
-    bc = dense(inst.colors)
     return TableProtocol(3, g.M, (
-        LinkTable(1, 2, ab),
-        LinkTable(1, 3, ac),
-        LinkTable(2, 3, bc),
+        dense_link(1, 2, [u for u, _ in g.edges]),
+        dense_link(1, 3, [v for _, v in g.edges]),
+        dense_link(2, 3, inst.colors),
     ))
 
 

@@ -15,6 +15,8 @@ from .core import (
     LinkTable,
     TableProtocol,
     _run_table,
+    dense_link,
+    link_ranges,
     materialize,
 )
 from .verify import DEFAULT_BUDGET, verify_ad
@@ -126,14 +128,12 @@ def parallel_compose(base: TableProtocol, mapping: VectorMapping) -> TableProtoc
     """
     if mapping.base > base.M:
         raise ValueError(f"digits run to {mapping.base} but base protocol holds {base.M} values")
-    links = []
-    for lk in base.links:
-        tuples = [
-            tuple(lk.symbols[d - 1] for d in mapping.digits[x - 1])
-            for x in range(1, mapping.M + 1)
-        ]
-        order = {tup: rank for rank, tup in enumerate(sorted(set(tuples)), 1)}
-        links.append(LinkTable(lk.sender, lk.receiver, tuple(order[tup] for tup in tuples)))
+    links = [
+        dense_link(lk.sender, lk.receiver, [
+            tuple(lk.symbols[d - 1] for d in digits) for digits in mapping.digits
+        ])
+        for lk in base.links
+    ]
     return TableProtocol(base.n, mapping.M, tuple(links))
 
 
@@ -221,11 +221,7 @@ def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtoco
     schedule = [(lk.sender, lk.receiver) for lk in p.links]
     schedule += [(i, p.n) for i in reporters]
 
-    overrides = {
-        index: lk.range_size
-        for index, lk in enumerate(p.links, 1)
-        if lk.range_size > max(lk.symbols)
-    }
+    overrides = link_ranges(p)
     for offset in range(len(reporters)):
         overrides[len(p.links) + offset + 1] = 2
 

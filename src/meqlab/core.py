@@ -314,6 +314,23 @@ def input_space(n: int, M: int) -> Iterable[tuple[int, ...]]:
     return itertools.product(range(1, M + 1), repeat=n)
 
 
+def _ranks(values) -> dict:
+    """Each distinct value mapped to its 1-based rank in ascending order."""
+    return {v: r for r, v in enumerate(sorted(set(values)), 1)}
+
+
+def dense_link(sender: int, receiver: int, keys) -> LinkTable:
+    """Link on which input x sends the rank of ``keys[x-1]`` among the
+    distinct keys, so symbols run densely over 1..S in ascending order."""
+    rank = _ranks(keys)
+    return LinkTable(sender, receiver, tuple(rank[k] for k in keys))
+
+
+def link_ranges(t: TableProtocol) -> dict[int, int]:
+    """Declared range of every link, keyed by its 1-based step index."""
+    return {index: lk.range_size for index, lk in enumerate(t.links, 1)}
+
+
 def materialize(
     n: int,
     M: int,
@@ -325,28 +342,24 @@ def materialize(
 
     `semantics(values)` must return (symbols, decisions): the symbol sent at
     each step of `schedule` and every node's final bit, for one input tuple.
-    Every input vector is replayed twice: first to collect the symbols each
-    step actually realizes, then to key tables by exactly the reachable
-    (input, history) pairs. Realized symbols are renumbered to 1..S in
-    ascending order, so already-dense ranges come out unchanged.
+    Every input vector is replayed once, keying tables by exactly the
+    reachable (input, history) pairs of the symbols as returned. Afterwards
+    the realized symbols of each step are renumbered to 1..S in ascending
+    order, in table values and history keys alike, so already-dense ranges
+    come out unchanged.
 
     `range_overrides` maps 1-based step indexes to a declared range_size
     (used for fixed-width framing); it must cover the realized count.
     """
     realized = [set() for _ in schedule]
-    for values in input_space(n, M):
-        symbols, _ = semantics(values)
-        for l, sym in enumerate(symbols):
-            realized[l].add(sym)
-    remaps = [{old: new for new, old in enumerate(sorted(seen), 1)} for seen in realized]
-
     tables = [dict() for _ in schedule]
     decision_tables = {node: {} for node in range(1, n + 1)}
     for values in input_space(n, M):
         symbols, decisions = semantics(values)
         received = [[] for _ in range(n)]
         for l, (sender, receiver) in enumerate(schedule):
-            sym = remaps[l][symbols[l]]
+            sym = symbols[l]
+            realized[l].add(sym)
             key = (values[sender - 1], tuple(received[sender - 1]))
             old = tables[l].setdefault(key, sym)
             if old != sym:
@@ -363,15 +376,28 @@ def materialize(
                     f"node {node}'s decision is not a function of (input, history) at {key}"
                 )
 
+    remaps = [_ranks(seen) for seen in realized]
+    # a history holds one symbol per step its owner received on, in schedule order
+    heard = {node: [l for l, (_, r) in enumerate(schedule) if r == node] for node in range(1, n + 1)}
+
+    def renumber(node, key):
+        x, history = key
+        return x, tuple(remaps[l][sym] for l, sym in zip(heard[node], history))
+
     steps = []
     for l, (sender, receiver) in enumerate(schedule):
+        table = {renumber(sender, key): remaps[l][sym] for key, sym in tables[l].items()}
         size = len(realized[l])
         if range_overrides and (l + 1) in range_overrides:
             declared = range_overrides[l + 1]
             if declared < size:
                 raise ValueError(f"declared range {declared} below realized {size} at step {l + 1}")
             size = declared
-        steps.append(Step(sender, receiver, tables[l], size))
+        steps.append(Step(sender, receiver, table, size))
+    decision_tables = {
+        node: {renumber(node, key): bit for key, bit in table.items()}
+        for node, table in decision_tables.items()
+    }
     return GeneralProtocol(n, M, tuple(steps), decision_tables)
 
 
@@ -383,17 +409,12 @@ def table_to_general(t: TableProtocol) -> GeneralProtocol:
     no incoming link decide 0.
     """
     schedule = [(lk.sender, lk.receiver) for lk in t.links]
-    overrides = {
-        index: lk.range_size
-        for index, lk in enumerate(t.links, 1)
-        if lk.range_size > max(lk.symbols)
-    }
 
     def semantics(values):
         symbols, _, _, decisions = _run_table(t, values)
         return symbols, decisions
 
-    return materialize(t.n, t.M, schedule, semantics, overrides)
+    return materialize(t.n, t.M, schedule, semantics, link_ranges(t))
 
 
 def tighten(p: GeneralProtocol) -> GeneralProtocol:

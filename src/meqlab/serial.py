@@ -50,9 +50,12 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, *required: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    for name in required:
+        if name not in value:
+            raise ValueError(f"{what} lacks field {name!r}")
     return value
 
 
@@ -61,32 +64,37 @@ def _lookup(raw, what: str) -> dict:
     # checked inline rather than through _integer: general files hold up to
     # hundreds of thousands of entries, and a call per field doubles load time
     table = {}
-    for e in _list(raw, what):
-        if not (
-            isinstance(e, dict)
-            and type(e["input"]) is int
-            and type(e["out"]) is int
-            and type(e["history"]) is list
-            and all(type(h) is int for h in e["history"])
-        ):
-            raise ValueError(f"{what} entry {e!r} is not integer input, history and output")
-        table[(e["input"], tuple(e["history"]))] = e["out"]
+    try:
+        for e in _list(raw, what):
+            if not (
+                isinstance(e, dict)
+                and type(e["input"]) is int
+                and type(e["out"]) is int
+                and type(e["history"]) is list
+                and all(type(h) is int for h in e["history"])
+            ):
+                raise ValueError(f"{what} entry {e!r} is not integer input, history and output")
+            table[(e["input"], tuple(e["history"]))] = e["out"]
+    except KeyError as err:
+        raise ValueError(f"{what} entry lacks field {err.args[0]!r}") from None
     return table
 
 
 def protocol_from_doc(doc: dict) -> Protocol:
-    """The protocol a document describes. Raises ValueError (KeyError for a
-    missing field) on a document that does not follow the schema."""
+    """The protocol a document describes. Raises ValueError, naming the
+    field and the part of the document, on one that does not follow the
+    schema."""
     doc = _object(doc, "protocol document")
     kind = doc.get("kind")
     if kind not in ("table", "general"):
         raise ValueError(f"unknown document kind {kind!r}")
+    _object(doc, f"{kind} document", "n", "M", "links" if kind == "table" else "steps")
     n = _integer(doc["n"], "n")
     M = _integer(doc["M"], "M")
     if kind == "table":
         links = []
         for entry in _list(doc["links"], "links"):
-            entry = _object(entry, "link")
+            entry = _object(entry, "link", "from", "to", "symbols")
             links.append(LinkTable(
                 _integer(entry["from"], "link endpoint"),
                 _integer(entry["to"], "link endpoint"),
@@ -96,7 +104,7 @@ def protocol_from_doc(doc: dict) -> Protocol:
         return TableProtocol(n, M, tuple(links))
     steps = []
     for raw in _list(doc["steps"], "steps"):
-        raw = _object(raw, "step")
+        raw = _object(raw, "step", "from", "to", "table", "range")
         steps.append(Step(
             _integer(raw["from"], "step endpoint"),
             _integer(raw["to"], "step endpoint"),
@@ -105,7 +113,7 @@ def protocol_from_doc(doc: dict) -> Protocol:
         ))
     decisions = {}
     for raw in _list(doc.get("decisions", []), "decisions"):
-        raw = _object(raw, "decision")
+        raw = _object(raw, "decision", "node", "table")
         decisions[_integer(raw["node"], "decision node")] = _lookup(raw["table"], "decision table")
     return GeneralProtocol(n, M, tuple(steps), decisions)
 
@@ -136,11 +144,3 @@ def save_protocol(p: Protocol, path) -> None:
 
 def load_protocol(path) -> Protocol:
     return protocol_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def save_bipartite(g: BipartiteRep, path, colors=None) -> None:
-    Path(path).write_text(dumps(bipartite_to_doc(g, colors)), encoding="utf-8")
-
-
-def load_bipartite(path) -> tuple[BipartiteRep, ColoringInstance | None]:
-    return bipartite_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))

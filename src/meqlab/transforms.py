@@ -2,20 +2,24 @@
 
 Two facts drive everything here. First, reversing one transmission keeps a
 protocol correct: the new sender transmits the symbol it *expected* to
-receive (the one that would arrive if every input matched its own), later
-steps of the old receiver pretend that expectation is what arrived, and the
-old sender flags a mismatch whenever the expectation disagrees with what it
-would have sent. Second, iterating such reversals and then fixing every
-node's outgoing symbols to their expected values turns any protocol into an
-acyclic per-link-table protocol without raising its cost.
+receive (the one that would arrive if every input matched its own), and the
+old sender flags a mismatch whenever that expectation disagrees with what it
+would have sent. Everything else replays the original protocol with the
+expectation in place of the reversed symbol. Second, on all-equal inputs
+every expectation is met, so reversals leave all-equal transcripts alone;
+fixing every link to its all-equal symbols therefore turns any protocol into
+an acyclic per-link-table protocol without raising its cost, whichever steps
+were reversed first.
 """
 
 from .core import (
     GeneralProtocol,
-    LinkTable,
     MalformedProtocolError,
     Protocol,
     TableProtocol,
+    _run_general,
+    dense_link,
+    input_space,
     materialize,
     simulate,
 )
@@ -31,85 +35,61 @@ def expected_symbol(p: Protocol, step_index: int, x: int) -> int:
     return simulate(p, (x,) * p.n).symbols[step_index - 1]
 
 
-def _decide(p: GeneralProtocol, node: int, x: int, history: tuple[int, ...]) -> int:
-    table = p.decisions.get(node)
-    if table is None:
-        return 0
-    try:
-        return table[(x, history)]
-    except KeyError:
-        raise MalformedProtocolError(f"node {node}: no decision for {(x, history)}") from None
-
-
 def flip_step(p: GeneralProtocol, step_index: int) -> GeneralProtocol:
     """Reverse the direction of one step, preserving correctness.
 
-    With the reversed step l sent by the old receiver R to the old sender T:
-    R transmits its expected symbol for l; R's later transmissions evaluate
-    their old tables as if that expectation had arrived at l; T's other steps
-    and decision ignore the symbol now arriving at l, but T additionally
-    decides 1 when that symbol differs from what it would itself have sent.
-    All ranges are recomputed afterward.
+    The reversed step l now runs from the old receiver R to the old sender T
+    and carries R's expected symbol for l. The new protocol behaves as a
+    replay of p, on p's own schedule of histories, in which step l carries
+    that expectation instead of T's symbol; T additionally decides 1 when
+    the expectation differs from what T would have sent. All ranges are
+    recomputed afterward.
     """
     if not 1 <= step_index <= len(p.steps):
         raise ValueError(f"step index {step_index} outside 1..{len(p.steps)}")
     l0 = step_index - 1
-    flipped = p.steps[l0]
-    t_node, r_node = flipped.sender, flipped.receiver
+    t_node, r_node = p.steps[l0].sender, p.steps[l0].receiver
     expected = {x: expected_symbol(p, step_index, x) for x in range(1, p.M + 1)}
 
     schedule = [(st.sender, st.receiver) for st in p.steps]
     schedule[l0] = (r_node, t_node)
 
-    def old_style_history(node, arrivals, before, x_r):
-        # Reconstruct the history `node` would hold in the unflipped
-        # protocol: R pretends its expectation arrived at l0, T drops the
-        # symbol it now receives there. Arrivals are (step, symbol) pairs.
-        entries = [(q, s) for q, s in arrivals if q < before]
-        if node == r_node and l0 < before:
-            entries.append((l0, expected[x_r]))
-            entries.sort()
-        elif node == t_node:
-            entries = [(q, s) for q, s in entries if q != l0]
-        return tuple(s for _, s in entries)
-
+    # R's forced history can be unreachable in p, but only on inputs where
+    # the expectation differs from what T would send. Those inputs are not
+    # all equal and T already flags them, so any symbol, and decision 1,
+    # keeps the protocol correct there.
     def semantics(values):
-        x_r = values[r_node - 1]
-        arrivals = [[] for _ in range(p.n)]
+        forced = expected[values[r_node - 1]]
+        flagged = False
+        received = [[] for _ in range(p.n)]
         symbols = []
         for m, st in enumerate(p.steps):
-            if m == l0:
-                sender, receiver = r_node, t_node
-                sym = expected[x_r]
-            else:
-                sender, receiver = st.sender, st.receiver
-                hist = old_style_history(sender, arrivals[sender - 1], m, x_r)
-                key = (values[sender - 1], hist)
-                try:
-                    sym = st.table[key]
-                except KeyError:
+            key = (values[st.sender - 1], tuple(received[st.sender - 1]))
+            sym = st.table.get(key)
+            if sym is None:
+                if not flagged:
                     raise MalformedProtocolError(
-                        f"step {m + 1} ({sender}->{receiver}): no entry for {key}"
-                    ) from None
+                        f"step {m + 1} ({st.sender}->{st.receiver}): no entry for {key}"
+                    )
+                sym = min(st.table.values())
+            if m == l0:
+                flagged = sym != forced
+                sym = forced
             symbols.append(sym)
-            arrivals[receiver - 1].append((m, sym))
-        end = len(p.steps)
+            received[st.receiver - 1].append(sym)
         decisions = []
         for node in range(1, p.n + 1):
-            hist = old_style_history(node, arrivals[node - 1], end, x_r)
-            bit = _decide(p, node, values[node - 1], hist)
-            if node == t_node:
-                before = old_style_history(t_node, arrivals[t_node - 1], l0, x_r)
-                key = (values[t_node - 1], before)
-                try:
-                    would_send = flipped.table[key]
-                except KeyError:
-                    raise MalformedProtocolError(
-                        f"step {step_index}: no entry for {key}"
-                    ) from None
-                if expected[x_r] != would_send:
+            table = p.decisions.get(node)
+            if table is None:
+                bit = 0
+            else:
+                key = (values[node - 1], tuple(received[node - 1]))
+                bit = table.get(key)
+                if bit is None:
+                    if not flagged:
+                        raise MalformedProtocolError(f"node {node}: no decision for {key}")
                     bit = 1
-            decisions.append(bit)
+            decisions.append(1 if node == t_node and flagged else bit)
         return symbols, decisions
 
     return materialize(p.n, p.M, schedule, semantics)
@@ -118,30 +98,29 @@ def flip_step(p: GeneralProtocol, step_index: int) -> GeneralProtocol:
 def make_iid(p: GeneralProtocol) -> TableProtocol:
     """Normalize to expected-symbol-per-link form.
 
-    Steps running against the node order are flipped so every link points
-    from a lower to a higher node id, then each step's symbol is fixed to
-    its expected value for the sender's own input, which removes all history
-    dependence. Multiple steps on one link merge into a single table whose
-    symbols stand for the tuple of their values. Receivers detect by
-    comparing arrivals against their own expectations, which is exactly the
-    TableProtocol semantics.
+    Each step's symbol is fixed to its expected value for the sender's own
+    input, which removes all history dependence. Every step is placed on its
+    unordered link, oriented from the lower to the higher node id: reversing
+    a step (`flip_step`) would leave its all-equal symbols as they are, up to
+    an ascending renumbering that keeps their order. Multiple steps on one
+    link merge into a single table whose symbols rank the tuples of their
+    values. Receivers detect by comparing arrivals against their own
+    expectations, which is exactly the TableProtocol semantics.
+
+    Every input is replayed once first, so a protocol missing a reachable
+    table or decision entry raises MalformedProtocolError.
     """
-    q = p
-    for index in range(1, len(q.steps) + 1):
-        st = q.steps[index - 1]
-        if st.sender > st.receiver:
-            q = flip_step(q, index)
+    for values in input_space(p.n, p.M):
+        _run_general(p, values)
+    runs = [simulate(p, (x,) * p.n).symbols for x in range(1, p.M + 1)]
 
     by_link: dict[tuple[int, int], list[int]] = {}
-    for index, st in enumerate(q.steps, 1):
-        by_link.setdefault((st.sender, st.receiver), []).append(index)
+    for l, st in enumerate(p.steps):
+        link = (min(st.sender, st.receiver), max(st.sender, st.receiver))
+        by_link.setdefault(link, []).append(l)
 
-    links = []
-    for (sender, receiver), step_indexes in sorted(by_link.items()):
-        tuples = [
-            tuple(expected_symbol(q, index, x) for index in step_indexes)
-            for x in range(1, q.M + 1)
-        ]
-        order = {tup: rank for rank, tup in enumerate(sorted(set(tuples)), 1)}
-        links.append(LinkTable(sender, receiver, tuple(order[tup] for tup in tuples)))
-    return TableProtocol(q.n, q.M, tuple(links))
+    links = [
+        dense_link(sender, receiver, [tuple(run[l] for l in steps) for run in runs])
+        for (sender, receiver), steps in sorted(by_link.items())
+    ]
+    return TableProtocol(p.n, p.M, tuple(links))

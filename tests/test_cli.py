@@ -155,3 +155,13 @@ def test_fractional_symbol(tmp_path, capsys):
     doc["links"][0]["symbols"][-1] = 3.5  # the largest symbol, so no density check rejects it
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert_clean_error(capsys, run(["verify", "--ad", str(path)]))
+
+
+def test_missing_field(tmp_path, capsys):
+    path = tmp_path / "t36.json"
+    save_protocol(table36(), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["links"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 1
+    assert capsys.readouterr().err == "error: table document lacks field 'links'\n"

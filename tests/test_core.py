@@ -166,6 +166,23 @@ def test_tightness_recomputation():
     assert complexity(tighten(padded)).product == 27
 
 
+def test_tighten_renumbers_sparse_symbols_in_histories():
+    # step 1 sends 2, 4, 6 instead of 1, 2, 3; node 2's later table and
+    # decisions are keyed by those sparse symbols
+    g = table_to_general(table36())
+    first, second, third = g.steps
+
+    def doubled(key):
+        return key[0], tuple(2 * s for s in key[1])
+
+    sparse = GeneralProtocol(3, 6, (
+        Step(1, 2, {key: 2 * s for key, s in first.table.items()}, 6),
+        second,
+        Step(2, 3, {doubled(key): s for key, s in third.table.items()}, 3),
+    ), {**g.decisions, 2: {doubled(key): bit for key, bit in g.decisions[2].items()}})
+    assert tighten(sparse) == g
+
+
 def test_schedule_causality():
     # changing the last step cannot alter what earlier steps transmit
     g = table_to_general(table36())

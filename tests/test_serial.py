@@ -108,3 +108,24 @@ def test_non_integer_general_entries_rejected():
         protocol_from_doc(doc)
     with pytest.raises(ValueError):
         protocol_from_doc([doc])
+
+
+@pytest.mark.parametrize(
+    "protocol, path, message",
+    [
+        (table36(), ("links",), "table document lacks field 'links'"),
+        (table36(), ("M",), "table document lacks field 'M'"),
+        (table36(), ("links", 1, "symbols"), "link lacks field 'symbols'"),
+        (table_to_general(table36()), ("steps", 0, "range"), "step lacks field 'range'"),
+        (table_to_general(table36()), ("decisions", 0, "node"), "decision lacks field 'node'"),
+        (table_to_general(table36()), ("steps", 2, "table", 0, "out"), "step table entry lacks field 'out'"),
+    ],
+)
+def test_missing_field_named(protocol, path, message):
+    doc = protocol_to_doc(protocol)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    with pytest.raises(ValueError, match=message):
+        protocol_from_doc(doc)

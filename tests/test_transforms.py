@@ -1,19 +1,31 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meqlab import (
+    GeneralProtocol,
+    LinkTable,
+    MalformedProtocolError,
+    TableProtocol,
+    cd_wrapper,
     complexity,
     expected_symbol,
     flip_step,
     make_iid,
+    meq3_2k,
+    protocol_to_doc,
     simulate,
     star_protocol,
     table36,
     table_to_general,
     verify_ad,
 )
+from meqlab.core import materialize
+from meqlab.serial import dumps
 
 from conftest import random_correct_protocol
 
@@ -129,3 +141,104 @@ def test_make_iid_result_decisions_match_comparison_semantics():
     expanded = table_to_general(normal)
     for v in itertools.product(range(1, 7), repeat=3):
         assert simulate(normal, v).decisions == simulate(expanded, v).decisions
+
+
+def _g():
+    return table_to_general(table36())
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (_g, "edd9b74e254cb5c40f81478a62fe4e13c0ea649485d0e781d9283ae84f1096bf"),
+        (lambda: flip_step(_g(), 1), "f95c1301185d0d4c9a3cd74f1190adea1678c3afa5c20be8aed177a01e74db09"),
+        (lambda: flip_step(_g(), 2), "723ee72c2608af328e13c91faaeea83846b86885e813e4670c0292ceb5b7f82f"),
+        (lambda: flip_step(_g(), 3), "0024ff6dd21ee3d72245c533a337108e66e831e7b0e27ed225a87aace65505f2"),
+        (lambda: flip_step(flip_step(_g(), 3), 1),
+         "797722d441af21305fa201560dd122589279235a97dfccb3155856129fb57d56"),
+        (lambda: cd_wrapper(table36()), "3c47294a3265eb62865dafafc6b8c3a1fac9e1756d81f77184b47f65d9ca6785"),
+        (lambda: table_to_general(meq3_2k(3)),
+         "c08a86654c4f9b262f3180b037bf05a03bc071d61c2a003ded816451b2dbba2d"),
+        (lambda: make_iid(flip_step(cd_wrapper(table36()), 4)),
+         "9751be9d645ffd0d8c1345907b5d2c999a8473e933aaa265cfa1f80be9b6ce61"),
+    ],
+)
+def test_rewrite_outputs_are_byte_identical(build, digest):
+    # sha256 of the protocol files these rewrites wrote before the rebuild
+    # engine was reduced to one replay per input
+    text = dumps(protocol_to_doc(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def flip_every_backward_step(p):
+    for index in range(1, len(p.steps) + 1):
+        st = p.steps[index - 1]
+        if st.sender > st.receiver:
+            p = flip_step(p, index)
+    return p
+
+
+@st.composite
+def flipped_tables(draw):
+    """A random table protocol in stepwise form with random steps reversed."""
+    n = draw(st.integers(2, 4))
+    M = draw(st.integers(1, 4))
+    links = []
+    for s in range(1, n + 1):
+        for r in range(s + 1, n + 1):
+            if draw(st.booleans()):
+                raw = draw(st.lists(st.integers(1, M), min_size=M, max_size=M))
+                dense = {sym: i for i, sym in enumerate(sorted(set(raw)), 1)}
+                links.append(LinkTable(s, r, tuple(dense[sym] for sym in raw)))
+    p = table_to_general(TableProtocol(n, M, tuple(links)))
+    if p.steps:
+        for index in draw(st.lists(st.integers(1, len(p.steps)), max_size=4)):
+            p = flip_step(p, index)
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(flipped_tables())
+def test_make_iid_matches_explicit_flips(p):
+    assert make_iid(p) == make_iid(flip_every_backward_step(p))
+
+
+def relay_protocol(M):
+    """Node 2 relays node 1's value to node 3, which later sends its own
+    value back to node 2. Flipping any of the first three steps forces node
+    2's history at step 4 into combinations p never reaches."""
+
+    def semantics(v):
+        x1, x2, x3 = v
+        return [x1, x1, x1, x3], [0, int(x1 != x2 or x3 != x2), int(x1 != x3)]
+
+    return materialize(3, M, [(1, 2), (2, 3), (1, 3), (3, 2)], semantics)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_flip_of_relay_protocol_stays_correct(M):
+    p = relay_protocol(M)
+    assert verify_ad(p).ok
+    for index in range(1, len(p.steps) + 1):
+        flipped = flip_step(p, index)
+        assert verify_ad(flipped).ok
+        assert complexity(flipped).product <= complexity(p).product
+    assert make_iid(p) == make_iid(flip_every_backward_step(p))
+
+
+def without_entry(p, node, key):
+    decisions = dict(p.decisions)
+    decisions[node] = {k: bit for k, bit in p.decisions[node].items() if k != key}
+    return GeneralProtocol(p.n, p.M, p.steps, decisions)
+
+
+def test_missing_reachable_entry_raises():
+    g = table_to_general(table36())
+    # node 3's decision on input (1, 1, 2): every link forward, so only a
+    # full replay reaches it
+    gap = without_entry(g, 3, (2, (1, 1)))
+    with pytest.raises(MalformedProtocolError):
+        make_iid(gap)
+    # flipping step 1 leaves that input unflagged, so the gap still shows
+    with pytest.raises(MalformedProtocolError):
+        flip_step(gap, 1)
