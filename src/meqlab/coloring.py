@@ -166,12 +166,31 @@ def protocol_from_coloring(inst: ColoringInstance) -> TableProtocol:
     ))
 
 
-class SearchBudgetError(Exception):
-    """The graph enumeration budget ran out before the search finished."""
+@dataclass(frozen=True)
+class TripleStats:
+    """What the search did for one size triple: the a x b graphs it
+    enumerated and how many of those it skipped as isomorphic to an earlier
+    one. Every graph not skipped gets one strong_edge_color call."""
 
-    def __init__(self, budget: int, frontier: list[tuple[int, int, int]]):
+    sizes: tuple[int, int, int]
+    enumerated: int
+    skipped: int
+
+    @property
+    def colorings(self) -> int:
+        return self.enumerated - self.skipped
+
+
+class SearchBudgetError(Exception):
+    """The graph enumeration budget ran out before the search finished.
+    ``stats`` holds the counts of every triple tried, the unfinished one
+    last."""
+
+    def __init__(self, budget: int, frontier: list[tuple[int, int, int]],
+                 stats: tuple[TripleStats, ...] = ()):
         self.budget = budget
         self.frontier = tuple(frontier)
+        self.stats = tuple(stats)
         super().__init__(
             f"graph budget {budget} exhausted; undecided size triples: {self.frontier}"
         )
@@ -179,7 +198,8 @@ class SearchBudgetError(Exception):
 
 @dataclass(frozen=True)
 class OptimalResult:
-    """Outcome of the exhaustive minimum-product search."""
+    """Outcome of the exhaustive minimum-product search. ``stats`` holds the
+    counts of every triple tried, in search order."""
 
     U_size: int
     V_size: int
@@ -188,14 +208,31 @@ class OptimalResult:
     bits: float
     witness: ColoringInstance
     infeasible: tuple[tuple[int, int, int], ...]
+    stats: tuple[TripleStats, ...] = ()
 
 
-def _canonical(edges: tuple[tuple[int, int], ...], row_perms, col_perms):
-    return min(
-        tuple(sorted((rp[u - 1], cp[v - 1]) for u, v in edges))
-        for rp in row_perms
-        for cp in col_perms
-    )
+def _is_canonical(combo: tuple[tuple[int, int], ...], a: int, b: int, row_perms) -> bool:
+    """Whether ``combo`` (sorted edges on an a x b grid) is the smallest of
+    its sorted relabellings under all row and column permutations.
+
+    Only rows are permuted. Once the rows are relabelled, each row's block of
+    the sorted tuple has a fixed length and position, so the smallest tuple
+    over all column relabellings numbers the columns in order of their sorted
+    new-row lists, a column in an earlier row first (a list that ends sorts
+    after any continuation of it). Columns with equal lists are
+    interchangeable.
+    """
+    for rp in row_perms:
+        rows_of = [[] for _ in range(b)]
+        for u, v in combo:
+            rows_of[v - 1].append(rp[u - 1])
+        order = sorted(range(b), key=lambda v: (*sorted(rows_of[v]), a + 1))
+        cp = [0] * b
+        for label, v in enumerate(order, 1):
+            cp[v] = label
+        if tuple(sorted((rp[u - 1], cp[v - 1]) for u, v in combo)) < combo:
+            return False
+    return True
 
 
 def optimal_search(M: int, *, max_alphabet: int = 8, graph_budget: int = 2_000_000) -> OptimalResult:
@@ -203,11 +240,13 @@ def optimal_search(M: int, *, max_alphabet: int = 8, graph_budget: int = 2_000_0
 
     Size triples are unordered (flipping links permutes the three roles), so
     candidates are a <= b <= c with every pairwise product at least M, tried
-    in increasing product with lexicographic tie-break. For each triple, all
-    simple M-edge graphs on an a x b grid are enumerated up to independent
-    row/column permutation and tested for a c-color strong edge coloring.
+    in increasing product with lexicographic tie-break. For each triple, the
+    M-edge sets of the a x b grid are enumerated in lexicographic order, and
+    each one that is the smallest of its row/column relabellings (one graph
+    per isomorphism class) is tested for a c-color strong edge coloring.
     The first feasible triple is optimal; the triples rejected on the way
-    are reported alongside the witness.
+    are reported alongside the witness, with per-triple counts in ``stats``.
+    ``graph_budget`` caps the edge sets enumerated, skipped ones included.
     """
     if M < 1:
         raise ValueError("alphabet size must be positive")
@@ -227,21 +266,26 @@ def optimal_search(M: int, *, max_alphabet: int = 8, graph_budget: int = 2_000_0
 
     work = 0
     infeasible = []
+    stats = []
     for pos, (a, b, c) in enumerate(candidates):
         cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
         row_perms = list(itertools.permutations(range(1, a + 1)))
-        col_perms = list(itertools.permutations(range(1, b + 1)))
+        enumerated = skipped = 0
         witness = None
         for combo in itertools.combinations(cells, M):
             work += 1
             if work > graph_budget:
-                raise SearchBudgetError(graph_budget, candidates[pos:])
-            if _canonical(combo, row_perms, col_perms) != combo:
+                stats.append(TripleStats((a, b, c), enumerated, skipped))
+                raise SearchBudgetError(graph_budget, candidates[pos:], stats)
+            enumerated += 1
+            if not _is_canonical(combo, a, b, row_perms):
+                skipped += 1
                 continue
             inst = strong_edge_color(BipartiteRep(a, b, combo), c)
             if inst is not None:
                 witness = inst
                 break
+        stats.append(TripleStats((a, b, c), enumerated, skipped))
         if witness is None:
             infeasible.append((a, b, c))
             continue
@@ -249,5 +293,6 @@ def optimal_search(M: int, *, max_alphabet: int = 8, graph_budget: int = 2_000_0
         check = verify_ad(protocol_from_coloring(witness))
         if not check.ok:
             raise AssertionError(f"witness for ({a},{b},{c}) fails verification")
-        return OptimalResult(a, b, c, product, math.log2(product), witness, tuple(infeasible))
+        return OptimalResult(a, b, c, product, math.log2(product), witness, tuple(infeasible),
+                             tuple(stats))
     raise AssertionError("search space exhausted without a feasible triple")

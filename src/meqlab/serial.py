@@ -126,11 +126,22 @@ def bipartite_to_doc(g: BipartiteRep, colors: tuple[int, ...] | None = None) -> 
 
 
 def bipartite_from_doc(doc: dict) -> tuple[BipartiteRep, ColoringInstance | None]:
+    """The graph a document describes, with its coloring if it has one.
+    Raises ValueError, naming the field, on one that does not follow the
+    schema."""
+    doc = _object(doc, "bipartite document")
     if doc.get("kind") != "bipartite":
         raise ValueError(f"unknown document kind {doc.get('kind')!r}")
-    g = BipartiteRep(doc["U"], doc["V"], tuple(tuple(e) for e in doc["edges"]))
+    _object(doc, "bipartite document", "U", "V", "edges")
+    edges = []
+    for e in _list(doc["edges"], "edges"):
+        if len(_list(e, "edge")) != 2:
+            raise ValueError(f"edge {e!r} is not a pair of endpoints")
+        edges.append((_integer(e[0], "edge endpoint"), _integer(e[1], "edge endpoint")))
+    g = BipartiteRep(_integer(doc["U"], "U"), _integer(doc["V"], "V"), tuple(edges))
     if "colors" in doc:
-        return g, ColoringInstance(g, tuple(doc["colors"]))
+        colors = tuple(_integer(c, "color") for c in _list(doc["colors"], "colors"))
+        return g, ColoringInstance(g, colors)
     return g, None
 
 

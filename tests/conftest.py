@@ -65,3 +65,13 @@ def brute_force_verdicts(p) -> dict:
         if len(found) == len(flavours):
             break
     return {d: found.get(d, Verdict(True, None, p.M**p.n)) for d in flavours}
+
+
+def canonical_oracle(edges, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """Smallest sorted relabelling of an edge set on an a x b grid, taken
+    over all a!*b! row and column permutations."""
+    return min(
+        tuple(sorted((rp[u - 1], cp[v - 1]) for u, v in edges))
+        for rp in itertools.permutations(range(1, a + 1))
+        for cp in itertools.permutations(range(1, b + 1))
+    )

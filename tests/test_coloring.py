@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meqlab import (
     BipartiteRep,
@@ -23,7 +25,8 @@ from meqlab import (
     verify_ad,
 )
 
-from conftest import random_correct_protocol
+from conftest import canonical_oracle, random_correct_protocol
+from meqlab.coloring import _is_canonical
 
 
 def complete_grid(a: int, b: int) -> BipartiteRep:
@@ -196,3 +199,98 @@ def test_witness_protocol_matches_reported_product():
         result = optimal_search(M)
         assert complexity(protocol_from_coloring(result.witness)).product == result.product
         assert result.bits == pytest.approx(math.log2(result.product), abs=1e-12)
+
+
+SMALL_GRIDS = [(1, b) for b in range(1, 7)] + [(2, b) for b in range(2, 6)] + [(3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("a, b", SMALL_GRIDS)
+def test_is_canonical_matches_oracle_on_every_edge_set(a, b):
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    row_perms = list(itertools.permutations(range(1, a + 1)))
+    for k in range(len(cells) + 1):
+        for combo in itertools.combinations(cells, k):
+            assert _is_canonical(combo, a, b, row_perms) == (canonical_oracle(combo, a, b) == combo)
+
+
+@st.composite
+def grid_edge_sets(draw):
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 6))
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    chosen = draw(st.sets(st.sampled_from(cells)))
+    return a, b, tuple(sorted(chosen))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_edge_sets())
+def test_is_canonical_matches_oracle_on_random_edge_sets(case):
+    a, b, combo = case
+    row_perms = list(itertools.permutations(range(1, a + 1)))
+    smallest = canonical_oracle(combo, a, b)
+    assert _is_canonical(combo, a, b, row_perms) == (smallest == combo)
+    assert _is_canonical(smallest, a, b, row_perms)
+
+
+# product, size triple, rejected triples, witness edges and colours, as
+# returned by the all-permutations search
+SEARCH_PINS = {
+    7: (48, (3, 4, 4),
+        ((3, 3, 3), (2, 4, 4), (3, 3, 4), (2, 4, 5), (3, 3, 5), (2, 4, 6)),
+        ((1, 1), (1, 2), (1, 3), (2, 1), (2, 4), (3, 2), (3, 4)),
+        (1, 2, 3, 4, 2, 4, 1)),
+    8: (60, (3, 4, 5),
+        ((3, 3, 3), (2, 4, 4), (3, 3, 4), (2, 4, 5), (3, 3, 5), (2, 4, 6),
+         (3, 4, 4), (2, 5, 5), (3, 3, 6), (2, 4, 7), (2, 5, 6)),
+        ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 3), (3, 4)),
+        (1, 2, 3, 4, 5, 3, 4, 1)),
+    9: (64, (4, 4, 4),
+        ((3, 3, 3), (3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 5, 5), (3, 3, 6),
+         (2, 5, 6), (3, 4, 5), (3, 3, 7)),
+        ((1, 1), (1, 2), (1, 3), (2, 1), (2, 4), (3, 2), (3, 4), (4, 3), (4, 4)),
+        (1, 2, 3, 4, 2, 4, 3, 4, 1)),
+    10: (80, (4, 4, 5),
+         ((3, 4, 4), (2, 5, 5), (2, 5, 6), (3, 4, 5), (4, 4, 4), (2, 5, 7),
+          (2, 6, 6), (3, 4, 6), (3, 5, 5), (2, 5, 8)),
+         ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4)),
+         (1, 2, 3, 4, 5, 3, 4, 1, 5, 2)),
+    11: (96, (4, 4, 6),
+         ((3, 4, 4), (3, 4, 5), (4, 4, 4), (2, 6, 6), (3, 4, 6), (3, 5, 5),
+          (4, 4, 5), (2, 6, 7), (3, 4, 7), (3, 5, 6), (2, 6, 8), (3, 4, 8)),
+         ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (3, 4), (4, 2), (4, 3)),
+         (1, 2, 3, 4, 5, 3, 6, 5, 2, 6, 4)),
+}
+
+
+@pytest.mark.parametrize("M", sorted(SEARCH_PINS))
+def test_optimal_search_pins(M):
+    result = optimal_search(M, max_alphabet=max(M, 9))
+    product, sizes, infeasible, edges, colors = SEARCH_PINS[M]
+    assert result.product == product
+    assert (result.U_size, result.V_size, result.W_size) == sizes
+    assert result.infeasible == infeasible
+    assert result.witness.graph.edges == edges
+    assert result.witness.colors == colors
+
+
+@pytest.mark.parametrize(
+    "M, enumerated, skipped, colorings",
+    [(4, 3, 0, 3), (6, 31, 23, 8), (7, 218, 193, 25), (8, 711, 675, 36), (9, 1644, 1581, 63)],
+)
+def test_optimal_search_counts(M, enumerated, skipped, colorings):
+    result = optimal_search(M, max_alphabet=9)
+    assert [s.sizes for s in result.stats] == [
+        *result.infeasible, (result.U_size, result.V_size, result.W_size)
+    ]
+    assert sum(s.enumerated for s in result.stats) == enumerated
+    assert sum(s.skipped for s in result.stats) == skipped
+    assert sum(s.colorings for s in result.stats) == colorings
+
+
+def test_search_budget_error_carries_counts():
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_search(7, graph_budget=100)
+    stats = info.value.stats
+    assert sum(s.enumerated for s in stats) == 100
+    assert stats[-1].sizes == info.value.frontier[0]
+    assert [s.sizes for s in stats[:-1]] == list(optimal_search(7).infeasible[:len(stats) - 1])

@@ -69,6 +69,42 @@ def test_unknown_kind_rejected():
         protocol_from_doc({"kind": "mystery"})
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("U",), MISSING, "bipartite document lacks field 'U'"),
+        (("V",), MISSING, "bipartite document lacks field 'V'"),
+        (("edges",), MISSING, "bipartite document lacks field 'edges'"),
+        (("U",), "3", "U must be an integer"),
+        (("V",), 3.0, "V must be an integer"),
+        (("edges",), {"1": 1}, "edges must be a JSON list"),
+        (("edges", 2), [1], r"edge \[1\] is not a pair of endpoints"),
+        (("edges", 2), 5, "edge must be a JSON list"),
+        (("edges", 0, 1), True, "edge endpoint must be an integer"),
+        (("colors", 0), "1", "color must be an integer"),
+    ],
+)
+def test_bipartite_document_rejected(path, value, message):
+    doc = bipartite_to_doc(to_bipartite(table36()), (1, 2, 3, 1, 2, 3))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        bipartite_from_doc(doc)
+
+
+def test_non_object_bipartite_document_rejected():
+    with pytest.raises(ValueError, match="bipartite document must be a JSON object"):
+        bipartite_from_doc([{"kind": "bipartite"}])
+
+
 def test_bipartite_round_trip():
     g = to_bipartite(table36())
     doc = bipartite_to_doc(g, (1, 2, 3, 1, 2, 3))
