@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import constructions, serial, transforms
-from .coloring import SearchBudgetError, optimal_search
+from .coloring import SearchBudgetError, optimal_search, protocol_from_coloring
 from .core import (
     GeneralProtocol,
     MalformedProtocolError,
@@ -155,8 +155,6 @@ def _cmd_search(args) -> int:
     )
     print(f"bits {result.bits:.6f}")
     if args.out:
-        from .coloring import protocol_from_coloring
-
         serial.save_protocol(protocol_from_coloring(result.witness), args.out)
         print(f"witness written to {args.out}")
     return EXIT_OK
@@ -187,10 +185,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except EnumerationBudgetError as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except SearchBudgetError as err:
+    except (EnumerationBudgetError, SearchBudgetError) as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError, MalformedProtocolError) as err:

@@ -14,11 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import TableProtocol, dense_link
+from .core import TableProtocol, check_size, dense_link
 from .verify import verify_ad
 
 
-class EdgeCollisionError(Exception):
+class EdgeCollisionError(ValueError):
     """Two input values produce identical symbols on both of node 1's links,
     so no receiver can tell them apart."""
 
@@ -60,7 +60,7 @@ def to_bipartite(t: TableProtocol) -> BipartiteRep:
     """Project a three-node protocol onto its edge graph.
 
     Requires links 1->2, 1->3 and 2->3 to all be present. Vertices are the
-    distinct symbols actually used, renumbered in ascending order.
+    symbols of links 1->2 and 1->3 themselves, which LinkTable keeps dense.
     """
     if t.n != 3:
         raise ValueError("bipartite view is defined for three-node protocols")
@@ -70,10 +70,7 @@ def to_bipartite(t: TableProtocol) -> BipartiteRep:
         t.link(2, 3)
     except KeyError as missing:
         raise ValueError(f"protocol lacks link {missing.args[0]}") from None
-    u_rank = {s: r for r, s in enumerate(sorted(set(ab)), 1)}
-    v_rank = {s: r for r, s in enumerate(sorted(set(ac)), 1)}
-    edges = tuple((u_rank[ab[x]], v_rank[ac[x]]) for x in range(t.M))
-    return BipartiteRep(len(u_rank), len(v_rank), edges)
+    return BipartiteRep(max(ab), max(ac), tuple(zip(ab, ac)))
 
 
 def _adjacent(e: tuple[int, int], f: tuple[int, int]) -> bool:
@@ -183,8 +180,9 @@ class TripleStats:
 
 class SearchBudgetError(Exception):
     """The graph enumeration budget ran out before the search finished.
-    ``stats`` holds the counts of every triple tried, the unfinished one
-    last."""
+    ``frontier`` holds every undecided size triple, the unfinished one
+    first; ``stats`` holds the counts of every triple tried, the unfinished
+    one last."""
 
     def __init__(self, budget: int, frontier: list[tuple[int, int, int]],
                  stats: tuple[TripleStats, ...] = ()):
@@ -192,7 +190,8 @@ class SearchBudgetError(Exception):
         self.frontier = tuple(frontier)
         self.stats = tuple(stats)
         super().__init__(
-            f"graph budget {budget} exhausted; undecided size triples: {self.frontier}"
+            f"graph budget {budget} exhausted in size triple {self.frontier[0]}; "
+            f"{len(self.frontier)} size triples undecided"
         )
 
 
@@ -248,8 +247,7 @@ def optimal_search(M: int, *, max_alphabet: int = 8, graph_budget: int = 2_000_0
     are reported alongside the witness, with per-triple counts in ``stats``.
     ``graph_budget`` caps the edge sets enumerated, skipped ones included.
     """
-    if M < 1:
-        raise ValueError("alphabet size must be positive")
+    check_size(3, M)
     if M > max_alphabet:
         raise ValueError(f"M={M} exceeds the exhaustive-search limit {max_alphabet}")
 

@@ -8,7 +8,7 @@ crossover against the 2k-bit baseline live here too, as does the wrapper
 that turns any anyone-detects protocol into a centralized-detect one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     GeneralProtocol,
@@ -140,28 +140,20 @@ def parallel_compose(base: TableProtocol, mapping: VectorMapping) -> TableProtoc
 def meq3_2k(k: int) -> TableProtocol:
     """Binary-framed three-node protocol for M = 2**k.
 
-    Inputs become base-6 digit vectors of length h = least power of 6
-    reaching 2**k; each digit runs through the six-value protocol; each
-    link's h three-way symbols are packed big-endian into one word framed as
-    b = ceil(h*log2(3)) bits. Every link declares the full 2**b range (the
-    word is transmitted bit by bit), so the cost is exactly 3b bits.
+    The digit-parallel composition of the six-value protocol over base-6
+    vectors of length h = least power of 6 reaching 2**k, framed into
+    b = ceil(h*log2(3))-bit words. Each link's combined symbol ranks its h
+    three-way symbols, which is their big-endian base-3 word plus one.
+    Every link declares the full 2**b range (the word is transmitted bit by
+    bit), so the cost is exactly 3b bits.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     M = 2**k
     h = least_exponent(6, M)
     b = least_exponent(2, 3**h)
-    mapping = VectorMapping.radix(M, 6, h)
-    links = []
-    for lk in table36().links:
-        words = []
-        for x in range(1, M + 1):
-            word = 0
-            for d in mapping.digits[x - 1]:
-                word = word * 3 + (lk.symbols[d - 1] - 1)
-            words.append(word + 1)
-        links.append(LinkTable(lk.sender, lk.receiver, tuple(words), range_size=2**b))
-    return TableProtocol(3, M, tuple(links))
+    composed = parallel_compose(table36(), VectorMapping.radix(M, 6, h))
+    return TableProtocol(3, M, tuple(replace(lk, range_size=2**b) for lk in composed.links))
 
 
 def complexity_formula_2k(k: int) -> int:
@@ -207,8 +199,8 @@ def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtoco
 
     After the base schedule, every interior node (ids 2..n-1) reports its
     decision bit to node n over one declared-binary step; node n outputs the
-    maximum of its own decision and the reported ones. Node 1 never receives
-    anything and so never detects, which is why it sends no report. Costs
+    maximum of all decisions, its own and the reported ones. Node 1 never
+    receives anything and so never detects, which is why it sends no report. Costs
     exactly n-2 extra bits. Rejects a base that fails the anyone-detects
     check.
     """
@@ -226,10 +218,9 @@ def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtoco
         overrides[len(p.links) + offset + 1] = 2
 
     def semantics(values):
-        symbols, _, _, decisions = _run_table(p, values)
-        reports = [decisions[i - 1] + 1 for i in reporters]
+        symbols, _, decisions = _run_table(p, values)
         final = list(decisions)
-        final[p.n - 1] = max([decisions[p.n - 1]] + [r - 1 for r in reports])
-        return symbols + reports, final
+        final[-1] = max(decisions)
+        return symbols + [decisions[i - 1] + 1 for i in reporters], final
 
     return materialize(p.n, p.M, schedule, semantics, overrides)

@@ -18,6 +18,14 @@ class MalformedProtocolError(Exception):
     """A lookup table has no entry for a reachable (input, history) pair."""
 
 
+def check_size(n: int, M: int) -> None:
+    """Reject fewer than two nodes or an empty input alphabet."""
+    if n < 2:
+        raise ValueError("need at least two nodes")
+    if M < 1:
+        raise ValueError("alphabet size must be positive")
+
+
 @dataclass(frozen=True)
 class InputVector:
     """One assignment of private values to the n nodes, each in 1..M."""
@@ -27,10 +35,7 @@ class InputVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) < 2:
-            raise ValueError("need at least two nodes")
-        if self.M < 1:
-            raise ValueError("alphabet size must be positive")
+        check_size(len(self.values), self.M)
         for x in self.values:
             if not 1 <= x <= self.M:
                 raise ValueError(f"input {x} outside 1..{self.M}")
@@ -102,10 +107,7 @@ class GeneralProtocol:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.n < 2:
-            raise ValueError("need at least two nodes")
-        if self.M < 1:
-            raise ValueError("alphabet size must be positive")
+        check_size(self.n, self.M)
         for st in self.steps:
             for node in (st.sender, st.receiver):
                 if not 1 <= node <= self.n:
@@ -116,10 +118,6 @@ class GeneralProtocol:
             for key, bit in table.items():
                 if bit not in (0, 1):
                     raise ValueError(f"decision {bit!r} for node {node} is not a bit")
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -165,10 +163,7 @@ class TableProtocol:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
-        if self.n < 2:
-            raise ValueError("need at least two nodes")
-        if self.M < 1:
-            raise ValueError("alphabet size must be positive")
+        check_size(self.n, self.M)
         prev = None
         for lk in self.links:
             if not (1 <= lk.sender <= self.n and 1 <= lk.receiver <= self.n):
@@ -197,14 +192,12 @@ class Transcript:
     """Everything one execution produced.
 
     `symbols` lists the symbol of each step in schedule order. `received`
-    and `sent` give, per node (index i holds node i+1), the symbols it saw
-    arrive or dispatched, again in schedule order; `decisions` holds each
-    node's final bit.
+    gives, per node (index i holds node i+1), the symbols it saw arrive, again
+    in schedule order; `decisions` holds each node's final bit.
     """
 
     symbols: tuple[int, ...]
     received: tuple[tuple[int, ...], ...]
-    sent: tuple[tuple[int, ...], ...]
     decisions: tuple[int, ...]
 
 
@@ -220,9 +213,8 @@ def _check_vector(p: Protocol, v) -> tuple[int, ...]:
     return values
 
 
-def _run_general(p: GeneralProtocol, values) -> tuple[list, list, list, list]:
+def _run_general(p: GeneralProtocol, values) -> tuple[list, list, list]:
     received = [[] for _ in range(p.n)]
-    sent = [[] for _ in range(p.n)]
     symbols = []
     for index, st in enumerate(p.steps, 1):
         key = (values[st.sender - 1], tuple(received[st.sender - 1]))
@@ -233,7 +225,6 @@ def _run_general(p: GeneralProtocol, values) -> tuple[list, list, list, list]:
                 f"step {index} ({st.sender}->{st.receiver}): no entry for {key}"
             ) from None
         symbols.append(sym)
-        sent[st.sender - 1].append(sym)
         received[st.receiver - 1].append(sym)
     decisions = []
     for node in range(1, p.n + 1):
@@ -246,12 +237,11 @@ def _run_general(p: GeneralProtocol, values) -> tuple[list, list, list, list]:
             decisions.append(table[key])
         except KeyError:
             raise MalformedProtocolError(f"node {node}: no decision for {key}") from None
-    return symbols, received, sent, decisions
+    return symbols, received, decisions
 
 
-def _run_table(t: TableProtocol, values) -> tuple[list, list, list, list]:
+def _run_table(t: TableProtocol, values) -> tuple[list, list, list]:
     received = [[] for _ in range(t.n)]
-    sent = [[] for _ in range(t.n)]
     symbols = []
     decisions = [0] * t.n
     for lk in t.links:
@@ -259,16 +249,8 @@ def _run_table(t: TableProtocol, values) -> tuple[list, list, list, list]:
         if sym != lk.symbols[values[lk.receiver - 1] - 1]:
             decisions[lk.receiver - 1] = 1
         symbols.append(sym)
-        sent[lk.sender - 1].append(sym)
         received[lk.receiver - 1].append(sym)
-    return symbols, received, sent, decisions
-
-
-def decisions_on(p: Protocol, values) -> list[int]:
-    """Per-node decision bits for one raw, already validated input tuple."""
-    if isinstance(p, TableProtocol):
-        return _run_table(p, values)[3]
-    return _run_general(p, values)[3]
+    return symbols, received, decisions
 
 
 def simulate(p: Protocol, v) -> Transcript:
@@ -279,11 +261,10 @@ def simulate(p: Protocol, v) -> Transcript:
     """
     values = _check_vector(p, v)
     runner = _run_table if isinstance(p, TableProtocol) else _run_general
-    symbols, received, sent, decisions = runner(p, values)
+    symbols, received, decisions = runner(p, values)
     return Transcript(
         symbols=tuple(symbols),
         received=tuple(tuple(r) for r in received),
-        sent=tuple(tuple(s) for s in sent),
         decisions=tuple(decisions),
     )
 
@@ -301,11 +282,9 @@ class Complexity(NamedTuple):
 
 def complexity(p: Protocol) -> Complexity:
     """Channel usage of a protocol: product of range sizes over all steps."""
-    product = 1
     ranges = [lk.range_size for lk in p.links] if isinstance(p, TableProtocol) \
         else [st.range_size for st in p.steps]
-    for r in ranges:
-        product *= r
+    product = math.prod(ranges)
     return Complexity(product, math.log2(product))
 
 
@@ -351,7 +330,6 @@ def materialize(
     `range_overrides` maps 1-based step indexes to a declared range_size
     (used for fixed-width framing); it must cover the realized count.
     """
-    realized = [set() for _ in schedule]
     tables = [dict() for _ in schedule]
     decision_tables = {node: {} for node in range(1, n + 1)}
     for values in input_space(n, M):
@@ -359,7 +337,6 @@ def materialize(
         received = [[] for _ in range(n)]
         for l, (sender, receiver) in enumerate(schedule):
             sym = symbols[l]
-            realized[l].add(sym)
             key = (values[sender - 1], tuple(received[sender - 1]))
             old = tables[l].setdefault(key, sym)
             if old != sym:
@@ -376,7 +353,7 @@ def materialize(
                     f"node {node}'s decision is not a function of (input, history) at {key}"
                 )
 
-    remaps = [_ranks(seen) for seen in realized]
+    remaps = [_ranks(table.values()) for table in tables]
     # a history holds one symbol per step its owner received on, in schedule order
     heard = {node: [l for l, (_, r) in enumerate(schedule) if r == node] for node in range(1, n + 1)}
 
@@ -387,7 +364,7 @@ def materialize(
     steps = []
     for l, (sender, receiver) in enumerate(schedule):
         table = {renumber(sender, key): remaps[l][sym] for key, sym in tables[l].items()}
-        size = len(realized[l])
+        size = len(remaps[l])
         if range_overrides and (l + 1) in range_overrides:
             declared = range_overrides[l + 1]
             if declared < size:
@@ -411,7 +388,7 @@ def table_to_general(t: TableProtocol) -> GeneralProtocol:
     schedule = [(lk.sender, lk.receiver) for lk in t.links]
 
     def semantics(values):
-        symbols, _, _, decisions = _run_table(t, values)
+        symbols, _, decisions = _run_table(t, values)
         return symbols, decisions
 
     return materialize(t.n, t.M, schedule, semantics, link_ranges(t))
@@ -422,7 +399,7 @@ def tighten(p: GeneralProtocol) -> GeneralProtocol:
     schedule = [(st.sender, st.receiver) for st in p.steps]
 
     def semantics(values):
-        symbols, _, _, decisions = _run_general(p, values)
+        symbols, _, decisions = _run_general(p, values)
         return symbols, decisions
 
     return materialize(p.n, p.M, schedule, semantics)
@@ -432,9 +409,4 @@ def realized_ranges(p: Protocol) -> tuple[int, ...]:
     """Number of distinct symbols each step realizes over all input vectors."""
     if isinstance(p, TableProtocol):
         return tuple(len(set(lk.symbols)) for lk in p.links)
-    seen = [set() for _ in p.steps]
-    for values in input_space(p.n, p.M):
-        symbols, _, _, _ = _run_general(p, values)
-        for l, sym in enumerate(symbols):
-            seen[l].add(sym)
-    return tuple(len(s) for s in seen)
+    return tuple(st.range_size for st in tighten(p).steps)

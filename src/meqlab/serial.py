@@ -11,6 +11,12 @@ from .coloring import BipartiteRep, ColoringInstance
 from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol
 
 
+def _entries(table: dict) -> list:
+    """The list of entries of an (input, history) -> output table; _lookup
+    reads it back."""
+    return [{"input": x, "history": list(hist), "out": out} for (x, hist), out in sorted(table.items())]
+
+
 def protocol_to_doc(p: Protocol) -> dict:
     if isinstance(p, TableProtocol):
         links = []
@@ -20,20 +26,11 @@ def protocol_to_doc(p: Protocol) -> dict:
                 entry["range"] = lk.range_size
             links.append(entry)
         return {"kind": "table", "n": p.n, "M": p.M, "links": links}
-    steps = []
-    for st in p.steps:
-        entries = [
-            {"input": x, "history": list(hist), "out": sym}
-            for (x, hist), sym in sorted(st.table.items())
-        ]
-        steps.append({"from": st.sender, "to": st.receiver, "range": st.range_size, "table": entries})
-    decisions = []
-    for node in sorted(p.decisions):
-        entries = [
-            {"input": x, "history": list(hist), "out": bit}
-            for (x, hist), bit in sorted(p.decisions[node].items())
-        ]
-        decisions.append({"node": node, "table": entries})
+    steps = [
+        {"from": st.sender, "to": st.receiver, "range": st.range_size, "table": _entries(st.table)}
+        for st in p.steps
+    ]
+    decisions = [{"node": node, "table": _entries(p.decisions[node])} for node in sorted(p.decisions)]
     return {"kind": "general", "n": p.n, "M": p.M, "steps": steps, "decisions": decisions}
 
 

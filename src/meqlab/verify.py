@@ -16,7 +16,16 @@ Rudra, PODS 2012), without visiting the vectors the buckets rule out.
 import math
 from dataclasses import dataclass
 
-from .core import Protocol, TableProtocol, decisions_on, eq_oracle, input_space
+from .core import (
+    GeneralProtocol,
+    Protocol,
+    TableProtocol,
+    _run_general,
+    _run_table,
+    check_size,
+    eq_oracle,
+    input_space,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -66,9 +75,9 @@ def _rank(values: tuple[int, ...], M: int) -> int:
     return rank + 1
 
 
-def _replay(p: Protocol, total: int, violated) -> Verdict:
+def _replay(p: GeneralProtocol, total: int, violated) -> Verdict:
     for rank, values in enumerate(input_space(p.n, p.M), 1):
-        decisions = decisions_on(p, values)
+        decisions = _run_general(p, values)[2]
         if violated(values, decisions):
             return Verdict(False, (values, tuple(decisions)), rank)
     return Verdict(True, None, total)
@@ -121,7 +130,7 @@ def _search(t: TableProtocol, links, total: int) -> Verdict:
     values = _agreeing_input(t, links)
     if values is None:
         return Verdict(True, None, total)
-    return Verdict(False, (values, tuple(decisions_on(t, values))), _rank(values, t.M))
+    return Verdict(False, (values, tuple(_run_table(t, values)[2])), _rank(values, t.M))
 
 
 def verify_ad(p: Protocol, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -153,17 +162,11 @@ def fooling_lower_bound(n: int, M: int) -> float:
     """(n/2)*log2(M): pigeonhole over the communication crossing each
     one-node-vs-rest cut, summed over all n cuts. Every correct protocol,
     of either flavour, costs at least this many bits."""
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if M < 1:
-        raise ValueError("alphabet size must be positive")
+    check_size(n, M)
     return n * math.log2(M) / 2
 
 
 def trivial_upper_bound(n: int, M: int) -> float:
     """(n-1)*log2(M): everyone forwards their raw value to one collector."""
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if M < 1:
-        raise ValueError("alphabet size must be positive")
+    check_size(n, M)
     return (n - 1) * math.log2(M)

@@ -294,3 +294,10 @@ def test_search_budget_error_carries_counts():
     assert sum(s.enumerated for s in stats) == 100
     assert stats[-1].sizes == info.value.frontier[0]
     assert [s.sizes for s in stats[:-1]] == list(optimal_search(7).infeasible[:len(stats) - 1])
+    # the message names the triple the search stopped in, not the whole frontier
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_search(13, max_alphabet=13, graph_budget=1)
+    assert len(info.value.frontier) == 294
+    assert str(info.value) == (
+        f"graph budget 1 exhausted in size triple {info.value.frontier[0]}; 294 size triples undecided"
+    )

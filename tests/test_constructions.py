@@ -13,6 +13,7 @@ from meqlab import (
     meq3_2k,
     parallel_compose,
     realized_ranges,
+    simulate,
     star_protocol,
     table36,
     verify_ad,
@@ -201,8 +202,6 @@ def test_cd_wrapper_rejects_incorrect_base():
 def test_first_node_never_detects():
     # node 1 has no incoming link in any construction here, so its decision
     # is 0 everywhere; that is why the centralized wrapper skips it
-    from meqlab.core import decisions_on
-
     for p in (table36(), meq3_2k(2), parallel_compose(table36(), VectorMapping.radix(36, 6, 2))):
         for v in itertools.product(range(1, p.M + 1), repeat=3):
-            assert decisions_on(p, v)[0] == 0
+            assert simulate(p, v).decisions[0] == 0

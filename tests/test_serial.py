@@ -85,6 +85,7 @@ MISSING = object()
         (("edges", 2), 5, "edge must be a JSON list"),
         (("edges", 0, 1), True, "edge endpoint must be an integer"),
         (("colors", 0), "1", "color must be an integer"),
+        (("edges",), [[1, 1], [1, 1]], "inputs 1 and 2 collide on both outgoing links"),
     ],
 )
 def test_bipartite_document_rejected(path, value, message):

@@ -11,12 +11,14 @@ from meqlab import (
     LinkTable,
     MalformedProtocolError,
     TableProtocol,
+    VectorMapping,
     cd_wrapper,
     complexity,
     expected_symbol,
     flip_step,
     make_iid,
     meq3_2k,
+    parallel_compose,
     protocol_to_doc,
     simulate,
     star_protocol,
@@ -161,11 +163,22 @@ def _g():
          "c08a86654c4f9b262f3180b037bf05a03bc071d61c2a003ded816451b2dbba2d"),
         (lambda: make_iid(flip_step(cd_wrapper(table36()), 4)),
          "9751be9d645ffd0d8c1345907b5d2c999a8473e933aaa265cfa1f80be9b6ce61"),
+        (lambda k=1: meq3_2k(k), "0527ff0572ec5f917404359b2c14dd6cdc688ac9ecaf456b25f1303162de4c84"),
+        (lambda k=2: meq3_2k(k), "1bb76ccb7267d8be08d7fefe3418e73ad0ee590e185fcd8f0e2d212e1a58652e"),
+        (lambda k=3: meq3_2k(k), "a4ce9d7e45006b769023428a70eea02044a046f44d73f4ac95cbfa9c14b79b8b"),
+        (lambda k=4: meq3_2k(k), "2bf1a2ff159ac2a019b6552a535bd8d3acd671ef5963ee33c6b6d5ee8561a63c"),
+        (lambda k=5: meq3_2k(k), "eedb12b9737fddc9c3574049543803134c87f3c54da483b54d8df5418ceec6b1"),
+        (lambda k=6: meq3_2k(k), "a98e207666263c178bcdb6eeb8e66f521a029133f1c35e149fc3b4da044b4144"),
+        (lambda k=7: meq3_2k(k), "432ac1afaa55f3d5d90bed0b1ae268e4203ef4b688bd27d3840a6c6cf2503189"),
+        (lambda k=8: meq3_2k(k), "2397b59fd0b9538d4ddc83789f6b25ee5de67fa6763f09d5eed5d98958b4bc64"),
+        (lambda: parallel_compose(table36(), VectorMapping.radix(36, 6, 2)),
+         "7878a63c5df10876c0cb1ee4518d8ec6c9d97ffe6798c71f2c33ae017f8330d5"),
     ],
 )
 def test_rewrite_outputs_are_byte_identical(build, digest):
     # sha256 of the protocol files these rewrites wrote before the rebuild
-    # engine was reduced to one replay per input
+    # engine was reduced to one replay per input, and these builders wrote
+    # while meq3_2k still packed its base-3 words by hand
     text = dumps(protocol_to_doc(build()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
