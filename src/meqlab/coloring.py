@@ -234,7 +234,9 @@ def _is_canonical(combo: tuple[tuple[int, int], ...], a: int, b: int, row_perms)
     return True
 
 
-def optimal_search(M: int, *, max_alphabet: int = 8, graph_budget: int = 2_000_000) -> OptimalResult:
+def optimal_search(
+    M: int, *, max_alphabet: int | None = None, graph_budget: int = 2_000_000
+) -> OptimalResult:
     """Exact minimum of |U|*|V|*|W| over graphs and colorings holding M edges.
 
     Size triples are unordered (flipping links permutes the three roles), so
@@ -245,10 +247,11 @@ def optimal_search(M: int, *, max_alphabet: int = 8, graph_budget: int = 2_000_0
     per isomorphism class) is tested for a c-color strong edge coloring.
     The first feasible triple is optimal; the triples rejected on the way
     are reported alongside the witness, with per-triple counts in ``stats``.
-    ``graph_budget`` caps the edge sets enumerated, skipped ones included.
+    ``graph_budget`` caps the edge sets enumerated, skipped ones included;
+    ``max_alphabet``, when given, refuses any larger M outright.
     """
     check_size(3, M)
-    if M > max_alphabet:
+    if max_alphabet is not None and M > max_alphabet:
         raise ValueError(f"M={M} exceeds the exhaustive-search limit {max_alphabet}")
 
     candidates = sorted(

@@ -14,10 +14,10 @@ from .core import (
     GeneralProtocol,
     LinkTable,
     TableProtocol,
-    _run_table,
     dense_link,
     link_ranges,
     materialize,
+    rules,
 )
 from .verify import DEFAULT_BUDGET, verify_ad
 
@@ -210,17 +210,16 @@ def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtoco
             f"base protocol is incorrect (counterexample {verdict.counterexample[0]}); refusing to wrap"
         )
     reporters = list(range(2, p.n))
-    schedule = [(lk.sender, lk.receiver) for lk in p.links]
+    schedule, link_send, link_decide = rules(p)
     schedule += [(i, p.n) for i in reporters]
+    base = len(p.links)
+    overrides = {**link_ranges(p), **{base + k: 2 for k in range(1, len(reporters) + 1)}}
 
-    overrides = link_ranges(p)
-    for offset in range(len(reporters)):
-        overrides[len(p.links) + offset + 1] = 2
+    def send(l, x, h):
+        return link_send(l, x, h) if l < base else link_decide(reporters[l - base], x, h) + 1
 
-    def semantics(values):
-        symbols, _, decisions = _run_table(p, values)
-        final = list(decisions)
-        final[-1] = max(decisions)
-        return symbols + [decisions[i - 1] + 1 for i in reporters], final
+    def decide(node, x, h):
+        # node n's history ends with the reported bits plus one, which link_decide ignores
+        return int(link_decide(node, x, h) or (node == p.n and 2 in h[len(h) - len(reporters):]))
 
-    return materialize(p.n, p.M, schedule, semantics, overrides)
+    return materialize(p.n, p.M, schedule, send, decide, overrides)

@@ -8,10 +8,9 @@ seen"). All types are immutable after construction and all operations are
 pure, so everything here is safe to share across threads.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class MalformedProtocolError(Exception):
@@ -213,44 +212,46 @@ def _check_vector(p: Protocol, v) -> tuple[int, ...]:
     return values
 
 
-def _run_general(p: GeneralProtocol, values) -> tuple[list, list, list]:
-    received = [[] for _ in range(p.n)]
-    symbols = []
-    for index, st in enumerate(p.steps, 1):
-        key = (values[st.sender - 1], tuple(received[st.sender - 1]))
+def rules(p: Protocol):
+    """p as node-local rules: (schedule, send, decide).
+
+    ``send(l, x, h)`` is the symbol that step l's sender transmits on input x
+    after receiving h (its symbols so far, in schedule order), and
+    ``decide(node, x, h)`` a node's bit after its full history. Table links
+    are steps, and a node decides 1 iff some received symbol differs from
+    the one its own input sends on that link. General rules read the tables
+    (a node without one decides 0) and raise MalformedProtocolError on a
+    missing entry.
+    """
+    if isinstance(p, TableProtocol):
+        incoming = {node: [] for node in range(1, p.n + 1)}
+        for lk in p.links:
+            incoming[lk.receiver].append(lk.symbols)
+
+        def send(l, x, h):
+            return p.links[l].symbols[x - 1]
+
+        def decide(node, x, h):
+            return int(any(sym != symbols[x - 1] for symbols, sym in zip(incoming[node], h)))
+
+        return [(lk.sender, lk.receiver) for lk in p.links], send, decide
+
+    def send(l, x, h):
+        st = p.steps[l]
         try:
-            sym = st.table[key]
+            return st.table[x, h]
         except KeyError:
             raise MalformedProtocolError(
-                f"step {index} ({st.sender}->{st.receiver}): no entry for {key}"
+                f"step {l + 1} ({st.sender}->{st.receiver}): no entry for {(x, h)}"
             ) from None
-        symbols.append(sym)
-        received[st.receiver - 1].append(sym)
-    decisions = []
-    for node in range(1, p.n + 1):
-        table = p.decisions.get(node)
-        if table is None:
-            decisions.append(0)
-            continue
-        key = (values[node - 1], tuple(received[node - 1]))
+
+    def decide(node, x, h):
         try:
-            decisions.append(table[key])
+            return p.decisions[node][x, h] if node in p.decisions else 0
         except KeyError:
-            raise MalformedProtocolError(f"node {node}: no decision for {key}") from None
-    return symbols, received, decisions
+            raise MalformedProtocolError(f"node {node}: no decision for {(x, h)}") from None
 
-
-def _run_table(t: TableProtocol, values) -> tuple[list, list, list]:
-    received = [[] for _ in range(t.n)]
-    symbols = []
-    decisions = [0] * t.n
-    for lk in t.links:
-        sym = lk.symbols[values[lk.sender - 1] - 1]
-        if sym != lk.symbols[values[lk.receiver - 1] - 1]:
-            decisions[lk.receiver - 1] = 1
-        symbols.append(sym)
-        received[lk.receiver - 1].append(sym)
-    return symbols, received, decisions
+    return [(st.sender, st.receiver) for st in p.steps], send, decide
 
 
 def simulate(p: Protocol, v) -> Transcript:
@@ -260,13 +261,15 @@ def simulate(p: Protocol, v) -> Transcript:
     MalformedProtocolError if a reachable table entry is missing.
     """
     values = _check_vector(p, v)
-    runner = _run_table if isinstance(p, TableProtocol) else _run_general
-    symbols, received, decisions = runner(p, values)
-    return Transcript(
-        symbols=tuple(symbols),
-        received=tuple(tuple(r) for r in received),
-        decisions=tuple(decisions),
-    )
+    schedule, send, decide = rules(p)
+    received = [()] * p.n
+    symbols = []
+    for l, (sender, receiver) in enumerate(schedule):
+        sym = send(l, values[sender - 1], received[sender - 1])
+        symbols.append(sym)
+        received[receiver - 1] += (sym,)
+    decisions = tuple(decide(node, x, h) for node, (x, h) in enumerate(zip(values, received), 1))
+    return Transcript(tuple(symbols), tuple(received), decisions)
 
 
 class Complexity(NamedTuple):
@@ -288,11 +291,6 @@ def complexity(p: Protocol) -> Complexity:
     return Complexity(product, math.log2(product))
 
 
-def input_space(n: int, M: int) -> Iterable[tuple[int, ...]]:
-    """All M**n input tuples in lexicographic order."""
-    return itertools.product(range(1, M + 1), repeat=n)
-
-
 def _ranks(values) -> dict:
     """Each distinct value mapped to its 1-based rank in ascending order."""
     return {v: r for r, v in enumerate(sorted(set(values)), 1)}
@@ -310,71 +308,124 @@ def link_ranges(t: TableProtocol) -> dict[int, int]:
     return {index: lk.range_size for index, lk in enumerate(t.links, 1)}
 
 
+def rectangles(n: int, M: int, schedule: list[tuple[int, int]], send) -> Iterator:
+    """Leaves of the transcript tree: (sets, histories) per leaf.
+
+    The inputs that share a transcript prefix form a rectangle S_1 x ... x
+    S_n (Kushilevitz and Nisan, *Communication Complexity*, 1997), inside
+    which every history is fixed. Step l from T to R splits S_T by
+    ``send(l, x, h_T)`` and appends the symbol to R's history. At a leaf,
+    sets[i] lists node i+1's inputs in ascending order and histories[i] what
+    it received; every input lies in exactly one leaf. The cost follows the
+    number of rectangles, not M**n. The yielded lists are reused.
+    """
+    sets = [range(1, M + 1)] * n
+    histories = [()] * n
+    # one entry per open step: its endpoints, its unexplored branches, and
+    # the sender's set and receiver's history before it. A loop, not
+    # recursion, since a schedule may outgrow the recursion limit.
+    stack = []
+    while True:
+        l = len(stack)
+        if l == len(schedule):
+            yield sets, histories
+        else:
+            t, r = schedule[l][0] - 1, schedule[l][1] - 1
+            groups = {}
+            for x in sets[t]:
+                groups.setdefault(send(l, x, histories[t]), []).append(x)
+            stack.append((t, r, iter(groups.items()), sets[t], histories[r]))
+        # enter the next unexplored branch, restoring every step left behind
+        while stack:
+            t, r, branches, own, heard = stack[-1]
+            branch = next(branches, None)
+            if branch is not None:
+                sets[t], histories[r] = branch[1], heard + (branch[0],)
+                break
+            sets[t], histories[r] = own, heard
+            stack.pop()
+        else:
+            return
+
+
+def decided_rectangles(p: GeneralProtocol) -> Iterator:
+    """(sets, bits) per leaf of p's transcript tree: bits[i][j] is node
+    i+1's decision on its input sets[i][j]. Reads every reachable entry, so
+    a missing one raises MalformedProtocolError."""
+    schedule, send, decide = rules(p)
+    for sets, histories in rectangles(p.n, p.M, schedule, send):
+        nodes = enumerate(zip(sets, histories), 1)
+        yield sets, [[decide(node, x, h) for x in xs] for node, (xs, h) in nodes]
+
+
+def check_entries(p: GeneralProtocol) -> None:
+    """Raise MalformedProtocolError if p lacks a reachable table or decision entry."""
+    for _ in decided_rectangles(p):
+        pass
+
+
 def materialize(
     n: int,
     M: int,
     schedule: list[tuple[int, int]],
-    semantics: Callable[[tuple[int, ...]], tuple[list[int], list[int]]],
+    send,
+    decide,
     range_overrides: dict[int, int] | None = None,
 ) -> GeneralProtocol:
-    """Rebuild dense lookup tables for a protocol given only its behaviour.
+    """Rebuild dense lookup tables for a protocol given node-local rules.
 
-    `semantics(values)` must return (symbols, decisions): the symbol sent at
-    each step of `schedule` and every node's final bit, for one input tuple.
-    Every input vector is replayed once, keying tables by exactly the
-    reachable (input, history) pairs of the symbols as returned. Afterwards
-    the realized symbols of each step are renumbered to 1..S in ascending
-    order, in table values and history keys alike, so already-dense ranges
-    come out unchanged.
+    `send` and `decide` are rules as `rules` returns them. One walk over the
+    transcript rectangles keys the tables by exactly the reachable (input,
+    history) pairs, with the symbols as returned. Afterwards the realized
+    symbols of each step are renumbered to 1..S in ascending order, in table
+    values and history keys alike; a table whose symbols are all dense
+    already is kept as built.
 
     `range_overrides` maps 1-based step indexes to a declared range_size
     (used for fixed-width framing); it must cover the realized count.
     """
-    tables = [dict() for _ in schedule]
+    tables = [{} for _ in schedule]
+
+    def record(l, x, h):
+        if (x, h) not in tables[l]:
+            tables[l][x, h] = send(l, x, h)
+        return tables[l][x, h]
+
     decision_tables = {node: {} for node in range(1, n + 1)}
-    for values in input_space(n, M):
-        symbols, decisions = semantics(values)
-        received = [[] for _ in range(n)]
-        for l, (sender, receiver) in enumerate(schedule):
-            sym = symbols[l]
-            key = (values[sender - 1], tuple(received[sender - 1]))
-            old = tables[l].setdefault(key, sym)
-            if old != sym:
-                raise MalformedProtocolError(
-                    f"step {l + 1} is not a function of (input, history) at {key}"
-                )
-            received[receiver - 1].append(sym)
-        for node in range(1, n + 1):
-            key = (values[node - 1], tuple(received[node - 1]))
-            bit = decisions[node - 1]
-            old = decision_tables[node].setdefault(key, bit)
-            if old != bit:
-                raise MalformedProtocolError(
-                    f"node {node}'s decision is not a function of (input, history) at {key}"
-                )
+    for sets, histories in rectangles(n, M, schedule, record):
+        for node, (xs, h) in enumerate(zip(sets, histories), 1):
+            table = decision_tables[node]
+            for x in xs:
+                if (x, h) not in table:
+                    table[x, h] = decide(node, x, h)
 
     remaps = [_ranks(table.values()) for table in tables]
+    dense = [all(sym == rank for sym, rank in remap.items()) for remap in remaps]
     # a history holds one symbol per step its owner received on, in schedule order
     heard = {node: [l for l, (_, r) in enumerate(schedule) if r == node] for node in range(1, n + 1)}
 
-    def renumber(node, key):
-        x, history = key
-        return x, tuple(remaps[l][sym] for l, sym in zip(heard[node], history))
+    def renumber(node, table, outputs):
+        """`table` with node's history symbols ranked and its outputs mapped
+        through `outputs` (None: kept); the table itself if nothing changes."""
+        if outputs is None and all(dense[l] for l in heard[node]):
+            return table
+        return {
+            (x, tuple(remaps[l][sym] for l, sym in zip(heard[node], history))):
+                outputs[out] if outputs else out
+            for (x, history), out in table.items()
+        }
 
     steps = []
     for l, (sender, receiver) in enumerate(schedule):
-        table = {renumber(sender, key): remaps[l][sym] for key, sym in tables[l].items()}
         size = len(remaps[l])
         if range_overrides and (l + 1) in range_overrides:
             declared = range_overrides[l + 1]
             if declared < size:
                 raise ValueError(f"declared range {declared} below realized {size} at step {l + 1}")
             size = declared
+        table = renumber(sender, tables[l], None if dense[l] else remaps[l])
         steps.append(Step(sender, receiver, table, size))
-    decision_tables = {
-        node: {renumber(node, key): bit for key, bit in table.items()}
-        for node, table in decision_tables.items()
-    }
+    decision_tables = {node: renumber(node, table, None) for node, table in decision_tables.items()}
     return GeneralProtocol(n, M, tuple(steps), decision_tables)
 
 
@@ -385,24 +436,12 @@ def table_to_general(t: TableProtocol) -> GeneralProtocol:
     symbol differs from the one expected for their own input, and nodes with
     no incoming link decide 0.
     """
-    schedule = [(lk.sender, lk.receiver) for lk in t.links]
-
-    def semantics(values):
-        symbols, _, decisions = _run_table(t, values)
-        return symbols, decisions
-
-    return materialize(t.n, t.M, schedule, semantics, link_ranges(t))
+    return materialize(t.n, t.M, *rules(t), link_ranges(t))
 
 
 def tighten(p: GeneralProtocol) -> GeneralProtocol:
     """Recompute every range from the symbols actually realized over all inputs."""
-    schedule = [(st.sender, st.receiver) for st in p.steps]
-
-    def semantics(values):
-        symbols, _, decisions = _run_general(p, values)
-        return symbols, decisions
-
-    return materialize(p.n, p.M, schedule, semantics)
+    return materialize(p.n, p.M, *rules(p))
 
 
 def realized_ranges(p: Protocol) -> tuple[int, ...]:

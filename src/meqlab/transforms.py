@@ -4,22 +4,20 @@ Two facts drive everything here. First, reversing one transmission keeps a
 protocol correct: the new sender transmits the symbol it *expected* to
 receive (the one that would arrive if every input matched its own), and the
 old sender flags a mismatch whenever that expectation disagrees with what it
-would have sent. Everything else replays the original protocol with the
-expectation in place of the reversed symbol. Second, on all-equal inputs
-every expectation is met, so reversals leave all-equal transcripts alone;
-fixing every link to its all-equal symbols therefore turns any protocol into
-an acyclic per-link-table protocol without raising its cost, whichever steps
-were reversed first.
+would have sent. Every other rule is the original protocol's, read on a
+history with the expectation in place of the reversed symbol. Second, on
+all-equal inputs every expectation is met, so reversals leave all-equal
+transcripts alone; fixing every link to its all-equal symbols therefore
+turns any protocol into an acyclic per-link-table protocol without raising
+its cost, whichever steps were reversed first.
 """
 
 from .core import (
     GeneralProtocol,
-    MalformedProtocolError,
     Protocol,
     TableProtocol,
-    _run_general,
+    check_entries,
     dense_link,
-    input_space,
     materialize,
     simulate,
 )
@@ -39,60 +37,51 @@ def flip_step(p: GeneralProtocol, step_index: int) -> GeneralProtocol:
     """Reverse the direction of one step, preserving correctness.
 
     The reversed step l now runs from the old receiver R to the old sender T
-    and carries R's expected symbol for l. The new protocol behaves as a
-    replay of p, on p's own schedule of histories, in which step l carries
-    that expectation instead of T's symbol; T additionally decides 1 when
-    the expectation differs from what T would have sent. All ranges are
+    and carries R's expected symbol for l. Every node follows p's rules on
+    its p-history: R's has that expectation inserted at l, and T's drops the
+    symbol it now receives at l. T additionally decides 1 when the
+    expectation differs from what T would have sent. All ranges are
     recomputed afterward.
+
+    p is checked for missing reachable entries first (MalformedProtocolError).
+    After that, a p-history the rules cannot look up arises only on inputs
+    where T flags: those are not all equal, so the smallest symbol of the
+    step, or decision 1, keeps the protocol correct there.
     """
     if not 1 <= step_index <= len(p.steps):
         raise ValueError(f"step index {step_index} outside 1..{len(p.steps)}")
+    check_entries(p)
     l0 = step_index - 1
     t_node, r_node = p.steps[l0].sender, p.steps[l0].receiver
     expected = {x: expected_symbol(p, step_index, x) for x in range(1, p.M + 1)}
+    smallest = [min(st.table.values()) for st in p.steps]
+    # where step l0 sits in T's and R's histories
+    k_t = sum(st.receiver == t_node for st in p.steps[:l0])
+    k_r = sum(st.receiver == r_node for st in p.steps[:l0])
+
+    def p_history(node, x, h, l):
+        if l > l0 and node == r_node:
+            return h[:k_r] + (expected[x],) + h[k_r:]
+        if l > l0 and node == t_node:
+            return h[:k_t] + h[k_t + 1:]
+        return h
+
+    def send(l, x, h):
+        if l == l0:
+            return expected[x]
+        st = p.steps[l]
+        return st.table.get((x, p_history(st.sender, x, h, l)), smallest[l])
+
+    def decide(node, x, h):
+        if node == t_node and p.steps[l0].table[x, h[:k_t]] != h[k_t]:
+            return 1
+        if node not in p.decisions:
+            return 0
+        return p.decisions[node].get((x, p_history(node, x, h, len(p.steps))), 1)
 
     schedule = [(st.sender, st.receiver) for st in p.steps]
     schedule[l0] = (r_node, t_node)
-
-    # R's forced history can be unreachable in p, but only on inputs where
-    # the expectation differs from what T would send. Those inputs are not
-    # all equal and T already flags them, so any symbol, and decision 1,
-    # keeps the protocol correct there.
-    def semantics(values):
-        forced = expected[values[r_node - 1]]
-        flagged = False
-        received = [[] for _ in range(p.n)]
-        symbols = []
-        for m, st in enumerate(p.steps):
-            key = (values[st.sender - 1], tuple(received[st.sender - 1]))
-            sym = st.table.get(key)
-            if sym is None:
-                if not flagged:
-                    raise MalformedProtocolError(
-                        f"step {m + 1} ({st.sender}->{st.receiver}): no entry for {key}"
-                    )
-                sym = min(st.table.values())
-            if m == l0:
-                flagged = sym != forced
-                sym = forced
-            symbols.append(sym)
-            received[st.receiver - 1].append(sym)
-        decisions = []
-        for node in range(1, p.n + 1):
-            table = p.decisions.get(node)
-            if table is None:
-                bit = 0
-            else:
-                key = (values[node - 1], tuple(received[node - 1]))
-                bit = table.get(key)
-                if bit is None:
-                    if not flagged:
-                        raise MalformedProtocolError(f"node {node}: no decision for {key}")
-                    bit = 1
-            decisions.append(1 if node == t_node and flagged else bit)
-        return symbols, decisions
-
-    return materialize(p.n, p.M, schedule, semantics)
+    return materialize(p.n, p.M, schedule, send, decide)
 
 
 def make_iid(p: GeneralProtocol) -> TableProtocol:
@@ -107,11 +96,11 @@ def make_iid(p: GeneralProtocol) -> TableProtocol:
     values. Receivers detect by comparing arrivals against their own
     expectations, which is exactly the TableProtocol semantics.
 
-    Every input is replayed once first, so a protocol missing a reachable
-    table or decision entry raises MalformedProtocolError.
+    One walk over p's transcript rectangles comes first, so a protocol
+    missing a reachable table or decision entry raises
+    MalformedProtocolError.
     """
-    for values in input_space(p.n, p.M):
-        _run_general(p, values)
+    check_entries(p)
     runs = [simulate(p, (x,) * p.n).symbols for x in range(1, p.M + 1)]
 
     by_link: dict[tuple[int, int], list[int]] = {}

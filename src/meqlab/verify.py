@@ -4,13 +4,18 @@ Both problem flavours are decided over all M**n input vectors; sampling can
 never certify a universally quantified contract, so an instance whose input
 space exceeds the budget is refused outright.
 
-A general protocol is replayed on every vector in lexicographic order. A
-table protocol is decided by a lexicographic join search instead: a receiver
-raises its flag exactly when an incoming symbol differs from the one its own
-input would send, so a violation is a non-constant input on which every
-checked link's two endpoints send the same symbol. Such inputs are found node
-by node from per-link symbol buckets, as in generic join (Ngo, Porat, Re and
-Rudra, PODS 2012), without visiting the vectors the buckets rule out.
+No path replays every vector one at a time. A general protocol is decided
+leaf by leaf over its transcript rectangles (`core.rectangles`): inside one,
+each node decides on its own input alone, so the smallest violation of a
+leaf takes one pass over its sets. Every reachable table and decision entry
+is read, so a missing one raises MalformedProtocolError even where a
+smaller counterexample exists. A table protocol is decided by a
+lexicographic join search: a receiver raises its flag exactly when an
+incoming symbol differs from the one its own input would send, so a
+violation is a non-constant input on which every checked link's two
+endpoints send the same symbol. Such inputs are found node by node from
+per-link symbol buckets, as in generic join (Ngo, Porat, Re and Rudra, PODS
+2012), without visiting the vectors the buckets rule out.
 """
 
 import math
@@ -20,11 +25,9 @@ from .core import (
     GeneralProtocol,
     Protocol,
     TableProtocol,
-    _run_general,
-    _run_table,
     check_size,
-    eq_oracle,
-    input_space,
+    decided_rectangles,
+    simulate,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -52,7 +55,9 @@ class Verdict:
 
     `vectors_checked` is the number of input vectors decided: M**n when `ok`,
     otherwise the counterexample's 1-based lexicographic rank, since every
-    lower-ranked vector was shown to satisfy the contract.
+    lower-ranked vector was shown to satisfy the contract. Both search
+    paths decide vectors in bulk, by rectangle or by symbol bucket, so it
+    counts vectors decided, not vectors visited.
     """
 
     ok: bool
@@ -68,19 +73,63 @@ def _check_budget(p: Protocol, budget: int) -> int:
 
 
 def _rank(values: tuple[int, ...], M: int) -> int:
-    """1-based position of `values` in the lexicographic order of input_space."""
+    """1-based position of `values` among all inputs in lexicographic order."""
     rank = 0
     for x in values:
         rank = rank * M + x - 1
     return rank + 1
 
 
-def _replay(p: GeneralProtocol, total: int, violated) -> Verdict:
-    for rank, values in enumerate(input_space(p.n, p.M), 1):
-        decisions = _run_general(p, values)[2]
-        if violated(values, decisions):
-            return Verdict(False, (values, tuple(decisions)), rank)
-    return Verdict(True, None, total)
+def _first_nonconstant(n: int, candidates) -> tuple[int, ...] | None:
+    """The first non-constant vector of a depth-first search that tries node
+    j's values from ``candidates(j, values)``, ascending, once nodes before j
+    hold values[:j]. Complete vectors appear in lexicographic order, so this
+    is the smallest one; None if there is none."""
+    values = [0] * n
+    stack = [iter(candidates(0, values))]
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            continue
+        values[len(stack) - 1] = x
+        if len(stack) < n:
+            stack.append(iter(candidates(len(stack), values)))
+        elif values.count(values[0]) < n:
+            return tuple(values)
+    return None
+
+
+def _smallest_violation(p: GeneralProtocol, checked) -> tuple[int, ...] | None:
+    """Lexicographically smallest input on which a node in `checked` gets
+    the equality bit wrong (all of them say 0 on an unequal input, or one
+    says 1 on an equal one), or None.
+
+    Inside a leaf S_1 x ... x S_n of p's transcript tree each node decides
+    on its own input alone. Let Z_i hold the inputs in S_i on which node i
+    raises no checked flag. A violation there is a constant input in every
+    S_i that some checked node flags, or a non-constant vector of the
+    product of the Z_i; the smallest over all leaves is the answer. Every
+    leaf is read, so a missing reachable entry raises
+    MalformedProtocolError whatever the verdict.
+    """
+    best = None
+    for sets, bits in decided_rectangles(p):
+        zs, raised = [], set()
+        for node, (xs, bs) in enumerate(zip(sets, bits), 1):
+            if node in checked:
+                zs.append([x for x, bit in zip(xs, bs) if not bit])
+                raised.update(x for x, bit in zip(xs, bs) if bit)
+            else:
+                zs.append(xs)
+        constant = min(raised.intersection(*sets), default=None)
+        # an empty Z_i leaves nothing to find, and would send the search through
+        # every choice before it; with none empty it passes one constant vector at most
+        unflagged = _first_nonconstant(p.n, lambda j, _: zs[j]) if all(zs) else None
+        for values in (unflagged, constant and (constant,) * p.n):
+            if values and (best is None or values < best):
+                best = values
+    return best
 
 
 def _agreeing_input(t: TableProtocol, links) -> tuple[int, ...] | None:
@@ -103,34 +152,25 @@ def _agreeing_input(t: TableProtocol, links) -> tuple[int, ...] | None:
             buckets.setdefault(sym, set()).add(x)
         incoming[lk.receiver - 1].append((lk.sender - 1, lk.symbols, buckets))
     every = range(1, t.M + 1)
-    values = [0] * n
 
-    def candidates(j: int):
+    def candidates(j: int, values):
         if not incoming[j]:
-            return iter(every)
-        return iter(sorted(set.intersection(*(
+            return every
+        return sorted(set.intersection(*(
             buckets[symbols[values[s] - 1]] for s, symbols, buckets in incoming[j]
-        ))))
+        )))
 
-    stack = [candidates(0)]
-    while stack:
-        x = next(stack[-1], None)
-        if x is None:
-            stack.pop()
-            continue
-        values[len(stack) - 1] = x
-        if len(stack) < n:
-            stack.append(candidates(len(stack)))
-        elif values.count(values[0]) < n:
-            return tuple(values)
-    return None
+    return _first_nonconstant(n, candidates)
 
 
-def _search(t: TableProtocol, links, total: int) -> Verdict:
-    values = _agreeing_input(t, links)
+def _decide(p: Protocol, checked: set[int], total: int) -> Verdict:
+    if isinstance(p, TableProtocol):
+        values = _agreeing_input(p, [lk for lk in p.links if lk.receiver in checked])
+    else:
+        values = _smallest_violation(p, checked)
     if values is None:
         return Verdict(True, None, total)
-    return Verdict(False, (values, tuple(_run_table(t, values)[2])), _rank(values, t.M))
+    return Verdict(False, (values, simulate(p, values).decisions), _rank(values, p.M))
 
 
 def verify_ad(p: Protocol, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -138,10 +178,7 @@ def verify_ad(p: Protocol, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     ok iff for every input vector: (all decisions 0) <=> (all inputs equal).
     """
-    total = _check_budget(p, budget)
-    if isinstance(p, TableProtocol):
-        return _search(p, p.links, total)
-    return _replay(p, total, lambda values, decisions: int(any(decisions)) != eq_oracle(values))
+    return _decide(p, set(range(1, p.n + 1)), _check_budget(p, budget))
 
 
 def verify_cd(p: Protocol, detector: int | None = None, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -152,10 +189,7 @@ def verify_cd(p: Protocol, detector: int | None = None, budget: int = DEFAULT_BU
     node = p.n if detector is None else detector
     if not 1 <= node <= p.n:
         raise ValueError(f"detector {node} outside 1..{p.n}")
-    total = _check_budget(p, budget)
-    if isinstance(p, TableProtocol):
-        return _search(p, [lk for lk in p.links if lk.receiver == node], total)
-    return _replay(p, total, lambda values, decisions: decisions[node - 1] != eq_oracle(values))
+    return _decide(p, {node}, _check_budget(p, budget))
 
 
 def fooling_lower_bound(n: int, M: int) -> float:

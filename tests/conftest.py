@@ -1,7 +1,17 @@
 import itertools
 import random
 
-from meqlab import BipartiteRep, LinkTable, TableProtocol, Verdict, conflict_pairs, simulate
+from meqlab import (
+    BipartiteRep,
+    GeneralProtocol,
+    LinkTable,
+    MalformedProtocolError,
+    Step,
+    TableProtocol,
+    Verdict,
+    conflict_pairs,
+    simulate,
+)
 
 
 def dense_random_table(rng: random.Random, M: int) -> tuple[int, ...]:
@@ -75,3 +85,47 @@ def canonical_oracle(edges, a: int, b: int) -> tuple[tuple[int, int], ...]:
         for rp in itertools.permutations(range(1, a + 1))
         for cp in itertools.permutations(range(1, b + 1))
     )
+
+
+def materialize_oracle(n, M, schedule, semantics, range_overrides=None) -> GeneralProtocol:
+    """Dense tables rebuilt by replaying `semantics(values) -> (symbols,
+    decisions)` on every input in lexicographic order, independent of
+    `meqlab.core.materialize`.
+
+    Tables are keyed by the reachable (input, history) pairs of the symbols
+    as returned; a key met twice with different outputs raises. The realized
+    symbols of each step are then ranked 1..S, in table values and history
+    keys alike.
+    """
+    tables = [{} for _ in schedule]
+    decision_tables = {node: {} for node in range(1, n + 1)}
+    for values in itertools.product(range(1, M + 1), repeat=n):
+        symbols, decisions = semantics(values)
+        received = [[] for _ in range(n)]
+        for l, (sender, receiver) in enumerate(schedule):
+            key = (values[sender - 1], tuple(received[sender - 1]))
+            if tables[l].setdefault(key, symbols[l]) != symbols[l]:
+                raise MalformedProtocolError(f"step {l + 1} is not a function of {key}")
+            received[receiver - 1].append(symbols[l])
+        for node in range(1, n + 1):
+            key = (values[node - 1], tuple(received[node - 1]))
+            if decision_tables[node].setdefault(key, decisions[node - 1]) != decisions[node - 1]:
+                raise MalformedProtocolError(f"node {node}'s decision is not a function of {key}")
+
+    ranks = [{s: r for r, s in enumerate(sorted(set(table.values())), 1)} for table in tables]
+    heard = {node: [l for l, (_, r) in enumerate(schedule) if r == node] for node in range(1, n + 1)}
+
+    def renumber(node, key):
+        x, history = key
+        return x, tuple(ranks[l][sym] for l, sym in zip(heard[node], history))
+
+    steps = []
+    for l, (sender, receiver) in enumerate(schedule):
+        size = (range_overrides or {}).get(l + 1, len(ranks[l]))
+        table = {renumber(sender, key): ranks[l][sym] for key, sym in tables[l].items()}
+        steps.append(Step(sender, receiver, table, size))
+    decisions = {
+        node: {renumber(node, key): bit for key, bit in table.items()}
+        for node, table in decision_tables.items()
+    }
+    return GeneralProtocol(n, M, tuple(steps), decisions)

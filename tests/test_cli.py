@@ -49,6 +49,11 @@ def test_search_golden_line(capsys):
     assert out[1] == "bits 4.754888"
 
 
+def test_search_beyond_eight_values(capsys):
+    assert run(["search", "--M", "9"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "optimal product 64 via (4,4,4)"
+
+
 def test_search_writes_witness(tmp_path):
     path = tmp_path / "witness.json"
     assert run(["search", "--M", "4", "--out", str(path)]) == 0
@@ -165,3 +170,21 @@ def test_missing_field(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["verify", "--ad", str(path)]) == 1
     assert capsys.readouterr().err == "error: table document lacks field 'links'\n"
+
+
+def test_missing_general_decision(tmp_path, capsys):
+    # node 2 decides on input 1 but has no decision for input 2
+    doc = {
+        "kind": "general", "n": 2, "M": 2,
+        "steps": [{"from": 1, "to": 2, "range": 2,
+                   "table": [{"input": 1, "history": [], "out": 1},
+                             {"input": 2, "history": [], "out": 2}]}],
+        "decisions": [{"node": 2, "table": [{"input": 1, "history": [1], "out": 0},
+                                            {"input": 1, "history": [2], "out": 1},
+                                            {"input": 2, "history": [1], "out": 1}]}],
+    }
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for mode in ("--ad", "--cd"):
+        assert run(["verify", mode, str(path)]) == 1
+        assert capsys.readouterr().err == "error: node 2: no decision for (2, (2,))\n"

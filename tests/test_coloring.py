@@ -190,8 +190,9 @@ def test_optimal_search_budget():
 
 
 def test_optimal_search_size_guard():
+    # no cap by default; an explicit max_alphabet still refuses larger M
     with pytest.raises(ValueError):
-        optimal_search(9)
+        optimal_search(9, max_alphabet=8)
 
 
 def test_witness_protocol_matches_reported_product():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -18,7 +19,10 @@ from meqlab import (
     table36,
     table_to_general,
     tighten,
+    verify_ad,
+    verify_cd,
 )
+from meqlab.core import materialize
 
 
 def test_eq_oracle_basic():
@@ -201,3 +205,20 @@ def test_single_value_alphabet():
     t = TableProtocol(3, 1, ())
     assert complexity(t) == (1, 0.0)
     assert simulate(t, (1, 1, 1)).decisions == (0, 0, 0)
+
+
+def test_schedule_longer_than_recursion_limit():
+    # nodes 1 and 2 trade their values back and forth; the rectangle walk
+    # goes one level deeper per step
+    steps = [(1, 2), (2, 1)] * sys.getrecursionlimit()
+
+    def send(l, x, h):
+        return x
+
+    def decide(node, x, h):
+        return int(any(sym != x for sym in h))
+
+    p = materialize(2, 3, steps, send, decide)
+    assert len(p.steps) == len(steps)
+    assert verify_ad(p).ok and verify_cd(p, 1).ok
+    assert tighten(p) == p

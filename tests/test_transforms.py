@@ -219,13 +219,31 @@ def test_make_iid_matches_explicit_flips(p):
 def relay_protocol(M):
     """Node 2 relays node 1's value to node 3, which later sends its own
     value back to node 2. Flipping any of the first three steps forces node
-    2's history at step 4 into combinations p never reaches."""
+    2's history at step 4 into combinations p never reaches. Nodes 2 and 3
+    flag any received value that differs from their own."""
 
-    def semantics(v):
-        x1, x2, x3 = v
-        return [x1, x1, x1, x3], [0, int(x1 != x2 or x3 != x2), int(x1 != x3)]
+    def send(step, x, history):
+        return history[0] if step == 1 else x
 
-    return materialize(3, M, [(1, 2), (2, 3), (1, 3), (3, 2)], semantics)
+    def decide(node, x, history):
+        return int(any(sym != x for sym in history))
+
+    return materialize(3, M, [(1, 2), (2, 3), (1, 3), (3, 2)], send, decide)
+
+
+@pytest.mark.parametrize(
+    "M, digest",
+    [
+        (2, "afe1e8402b2657dd6b4c1831d15fe271561ec2ddee483009ba3e5113ced73990"),
+        (3, "fd8eb8b629dd597c36f0ce597a0e35f31f890d704c01025ccc0c8b0d6283ad19"),
+        (4, "33204b4a0bfa6fef1cb8af015906e41ac1c6d5234b4eb50a3ae036eae3e1a36f"),
+    ],
+)
+def test_relay_protocol_is_byte_identical(M, digest):
+    # sha256 of the file the relay protocol gave when it was still built
+    # from a callback over whole input vectors
+    text = dumps(protocol_to_doc(relay_protocol(M)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("M", [2, 3, 4])

@@ -4,7 +4,10 @@ import pytest
 
 from meqlab import (
     EnumerationBudgetError,
+    GeneralProtocol,
     LinkTable,
+    MalformedProtocolError,
+    Step,
     TableProtocol,
     cd_wrapper,
     complexity,
@@ -14,6 +17,7 @@ from meqlab import (
     simulate,
     star_protocol,
     table36,
+    table_to_general,
     trivial_upper_bound,
     verify_ad,
     verify_cd,
@@ -123,3 +127,35 @@ def test_star_achieves_trivial_bound_exactly():
 def test_single_value_alphabet_verifies():
     assert verify_ad(TableProtocol(3, 1, ())).ok
     assert verify_cd(star_protocol(3, 1)).ok
+
+
+def without_step_entry(p, index, key):
+    steps = list(p.steps)
+    st = steps[index - 1]
+    steps[index - 1] = Step(st.sender, st.receiver, {k: s for k, s in st.table.items() if k != key},
+                            st.range_size)
+    return GeneralProtocol(p.n, p.M, tuple(steps), p.decisions)
+
+
+def without_decision_entry(p, node, key):
+    table = {k: bit for k, bit in p.decisions[node].items() if k != key}
+    return GeneralProtocol(p.n, p.M, p.steps, {**p.decisions, node: table})
+
+
+@pytest.mark.parametrize("check", [verify_ad, verify_cd, lambda p: verify_cd(p, 1)])
+def test_missing_general_entries_raise(check):
+    g = table_to_general(table36())
+    with pytest.raises(MalformedProtocolError, match="step 3"):
+        check(without_step_entry(g, 3, (5, (3,))))
+    # node 2's decision table: an unchecked node for a detector other than 2
+    with pytest.raises(MalformedProtocolError, match="node 2"):
+        check(without_decision_entry(g, 2, (6, (3,))))
+
+
+def test_missing_entry_raises_despite_smaller_counterexample():
+    # (3, 4, 2) violates the contract, and the later input (4, 1, 6) reaches
+    # the missing decision of node 3: every reachable entry is read first
+    g = table_to_general(mutate_third_link(2))
+    assert verify_ad(g).counterexample[0] == (3, 4, 2)
+    with pytest.raises(MalformedProtocolError, match="node 3"):
+        verify_ad(without_decision_entry(g, 3, (6, (3, 1))))

@@ -1,9 +1,11 @@
 """The verifiers against the brute-force oracle, on random and stock protocols.
 
 Table protocols are decided by the join search and general protocols by
-replay; both must return exactly the oracle's Verdict, including the
-counterexample's decisions and rank.
+their transcript rectangles; both must return exactly the oracle's Verdict,
+including the counterexample's decisions and rank.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from meqlab import (
     Verdict,
     cd_wrapper,
     conflict_pairs,
+    flip_step,
     extended_table,
     meq3_2k,
     parallel_compose,
@@ -29,7 +32,7 @@ from meqlab import (
     verify_cd,
 )
 
-from conftest import brute_force_verdicts
+from conftest import brute_force_verdicts, random_correct_protocol
 
 
 def assert_matches_oracle(p):
@@ -40,9 +43,9 @@ def assert_matches_oracle(p):
 
 
 @st.composite
-def table_protocols(draw):
-    n = draw(st.integers(2, 5))
-    M = draw(st.integers(1, 9))
+def table_protocols(draw, max_n=5, max_M=9):
+    n = draw(st.integers(2, max_n))
+    M = draw(st.integers(1, max_M))
     links = []
     for s in range(1, n + 1):
         for r in range(s + 1, n + 1):
@@ -122,3 +125,37 @@ def test_detector_without_incoming_link():
     verdict = verify_cd(star_protocol(4, 6), detector=2)
     assert verdict == Verdict(False, ((1, 1, 1, 2), (0, 0, 0, 1)), 2)
     assert verify_cd(table36(), detector=1).counterexample[0] == (1, 1, 2)
+
+
+def with_decision_flipped(p, node, index):
+    """Copy of p whose node decides the other bit on one entry, the index-th
+    in sorted order."""
+    table = dict(p.decisions[node])
+    key = sorted(table)[index % len(table)]
+    table[key] = 1 - table[key]
+    return GeneralProtocol(p.n, p.M, p.steps, {**p.decisions, node: table})
+
+
+@st.composite
+def general_protocols(draw):
+    """Random tables in stepwise form flipped 0-4 times, or random correct
+    three-node tables wrapped for centralized detection; half of them get
+    one decision bit flipped, so that failing cases are common."""
+    if draw(st.booleans()):
+        p = table_to_general(draw(table_protocols(max_n=4, max_M=5)))
+        if p.steps:
+            for index in draw(st.lists(st.integers(1, len(p.steps)), max_size=4)):
+                p = flip_step(p, index)
+    else:
+        p = cd_wrapper(random_correct_protocol(random.Random(draw(st.integers(0, 2**32 - 1))),
+                                               draw(st.integers(2, 7))))
+    if draw(st.booleans()):
+        node = draw(st.integers(1, p.n))
+        p = with_decision_flipped(p, node, draw(st.integers(0, p.M**p.n)))
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_protocols())
+def test_random_general_protocols_match_brute_force(p):
+    assert_matches_oracle(p)
