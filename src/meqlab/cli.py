@@ -13,7 +13,6 @@ import sys
 from . import constructions, serial, transforms
 from .coloring import SearchBudgetError, optimal_search, protocol_from_coloring
 from .core import (
-    GeneralProtocol,
     MalformedProtocolError,
     TableProtocol,
     complexity,
@@ -94,6 +93,8 @@ def _cmd_build(args) -> int:
     elif args.what == "ext6h":
         p = constructions.extended_table(args.h)
     elif args.what == "par6h":
+        if args.h < 1:
+            raise ValueError("h must be at least 1")
         mapping = constructions.VectorMapping.radix(6**args.h, 6, args.h)
         p = constructions.parallel_compose(constructions.table36(), mapping)
     elif args.what == "bin2k":
@@ -137,7 +138,6 @@ def _cmd_transform(args) -> int:
     p = serial.load_protocol(args.file)
     if isinstance(p, TableProtocol):
         p = table_to_general(p)
-    assert isinstance(p, GeneralProtocol)
     if args.iid:
         out = transforms.make_iid(p)
     else:

@@ -25,34 +25,6 @@ def check_size(n: int, M: int) -> None:
         raise ValueError("alphabet size must be positive")
 
 
-@dataclass(frozen=True)
-class InputVector:
-    """One assignment of private values to the n nodes, each in 1..M."""
-
-    values: tuple[int, ...]
-    M: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        check_size(len(self.values), self.M)
-        for x in self.values:
-            if not 1 <= x <= self.M:
-                raise ValueError(f"input {x} outside 1..{self.M}")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
 def eq_oracle(v) -> int:
     """0 if every node holds the same value, 1 otherwise."""
     values = tuple(v)
@@ -201,8 +173,6 @@ class Transcript:
 
 
 def _check_vector(p: Protocol, v) -> tuple[int, ...]:
-    if isinstance(v, InputVector) and v.M != p.M:
-        raise ValueError(f"input alphabet {v.M} does not match protocol alphabet {p.M}")
     values = tuple(v)
     if len(values) != p.n:
         raise ValueError(f"{len(values)} inputs for {p.n} nodes")
@@ -442,10 +412,3 @@ def table_to_general(t: TableProtocol) -> GeneralProtocol:
 def tighten(p: GeneralProtocol) -> GeneralProtocol:
     """Recompute every range from the symbols actually realized over all inputs."""
     return materialize(p.n, p.M, *rules(p))
-
-
-def realized_ranges(p: Protocol) -> tuple[int, ...]:
-    """Number of distinct symbols each step realizes over all input vectors."""
-    if isinstance(p, TableProtocol):
-        return tuple(len(set(lk.symbols)) for lk in p.links)
-    return tuple(st.range_size for st in tighten(p).steps)

@@ -1,13 +1,13 @@
-"""Protocol and graph documents: UTF-8 JSON, deterministic field order.
+"""Protocol documents: UTF-8 JSON, deterministic field order.
 
 Reading back what was written reproduces the original object exactly, so
 files are a faithful interchange format between the CLI subcommands.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
-from .coloring import BipartiteRep, ColoringInstance
 from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol
 
 
@@ -74,6 +74,11 @@ def _lookup(raw, what: str) -> dict:
             table[(e["input"], tuple(e["history"]))] = e["out"]
     except KeyError as err:
         raise ValueError(f"{what} entry lacks field {err.args[0]!r}") from None
+    # a repeated key would silently keep its last copy; the count shows one
+    if len(table) < len(raw):
+        keys = Counter((e["input"], tuple(e["history"])) for e in raw)
+        key = next(k for k, count in keys.items() if count > 1)
+        raise ValueError(f"{what} has more than one entry for (input, history) {key}")
     return table
 
 
@@ -111,35 +116,11 @@ def protocol_from_doc(doc: dict) -> Protocol:
     decisions = {}
     for raw in _list(doc.get("decisions", []), "decisions"):
         raw = _object(raw, "decision", "node", "table")
-        decisions[_integer(raw["node"], "decision node")] = _lookup(raw["table"], "decision table")
+        node = _integer(raw["node"], "decision node")
+        if node in decisions:
+            raise ValueError(f"decision node {node} appears more than once")
+        decisions[node] = _lookup(raw["table"], "decision table")
     return GeneralProtocol(n, M, tuple(steps), decisions)
-
-
-def bipartite_to_doc(g: BipartiteRep, colors: tuple[int, ...] | None = None) -> dict:
-    doc = {"kind": "bipartite", "U": g.U_size, "V": g.V_size, "edges": [list(e) for e in g.edges]}
-    if colors is not None:
-        doc["colors"] = list(colors)
-    return doc
-
-
-def bipartite_from_doc(doc: dict) -> tuple[BipartiteRep, ColoringInstance | None]:
-    """The graph a document describes, with its coloring if it has one.
-    Raises ValueError, naming the field, on one that does not follow the
-    schema."""
-    doc = _object(doc, "bipartite document")
-    if doc.get("kind") != "bipartite":
-        raise ValueError(f"unknown document kind {doc.get('kind')!r}")
-    _object(doc, "bipartite document", "U", "V", "edges")
-    edges = []
-    for e in _list(doc["edges"], "edges"):
-        if len(_list(e, "edge")) != 2:
-            raise ValueError(f"edge {e!r} is not a pair of endpoints")
-        edges.append((_integer(e[0], "edge endpoint"), _integer(e[1], "edge endpoint")))
-    g = BipartiteRep(_integer(doc["U"], "U"), _integer(doc["V"], "V"), tuple(edges))
-    if "colors" in doc:
-        colors = tuple(_integer(c, "color") for c in _list(doc["colors"], "colors"))
-        return g, ColoringInstance(g, colors)
-    return g, None
 
 
 def dumps(doc: dict) -> str:

@@ -1,6 +1,6 @@
 import json
 
-from meqlab import LinkTable, TableProtocol, load_protocol, save_protocol, table36
+from meqlab import LinkTable, TableProtocol, load_protocol, save_protocol, table36, table_to_general
 from meqlab.cli import run
 
 
@@ -188,3 +188,20 @@ def test_missing_general_decision(tmp_path, capsys):
     for mode in ("--ad", "--cd"):
         assert run(["verify", mode, str(path)]) == 1
         assert capsys.readouterr().err == "error: node 2: no decision for (2, (2,))\n"
+
+
+def test_par6h_rejects_h_below_one(tmp_path, capsys):
+    for h in ("0", "-1"):
+        assert run(["build", "par6h", "--h", h, "--out", str(tmp_path / "p.json")]) == 1
+        assert capsys.readouterr().err == "error: h must be at least 1\n"
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_repeated_decision_node(tmp_path, capsys):
+    path = tmp_path / "g36.json"
+    save_protocol(table_to_general(table36()), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["decisions"].append({"node": 3, "table": [dict(e, out=0) for e in doc["decisions"][2]["table"]]})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 1
+    assert capsys.readouterr().err == "error: decision node 3 appears more than once\n"

@@ -78,6 +78,11 @@ def test_collision_raises_and_breaks_the_protocol():
     assert verdict.counterexample[0] == (1, 2, 2)
 
 
+def test_repeated_edge_is_a_value_error():
+    with pytest.raises(ValueError, match="inputs 1 and 2 collide"):
+        BipartiteRep(1, 1, ((1, 1), (1, 1)))
+
+
 def test_conflicts_of_complete_2x2():
     assert len(conflict_pairs(complete_grid(2, 2))) == 6
 

@@ -12,10 +12,10 @@ from meqlab import (
     extended_table,
     meq3_2k,
     parallel_compose,
-    realized_ranges,
     simulate,
     star_protocol,
     table36,
+    tighten,
     verify_ad,
     verify_cd,
 )
@@ -130,7 +130,7 @@ def test_binary_construction_small_k_declares_full_width():
     p = meq3_2k(1)
     assert complexity(p).product == 2**6
     # the actual symbol usage is far below the declared binary framing
-    assert realized_ranges(p) == (1, 2, 2)
+    assert tuple(max(lk.symbols) for lk in p.links) == (1, 2, 2)
 
 
 def test_binary_construction_matches_formula():
@@ -178,7 +178,7 @@ def test_cd_wrapper_on_star_is_redundant_but_correct():
     assert verify_cd(wrapped).ok
     assert complexity(wrapped).product == 72
     # the reporter never detects, so the extra step carries one symbol only
-    assert realized_ranges(wrapped)[-1] == 1
+    assert tighten(wrapped).steps[-1].range_size == 1
     assert wrapped.steps[-1].range_size == 2
 
 

@@ -6,14 +6,12 @@ import pytest
 
 from meqlab import (
     GeneralProtocol,
-    InputVector,
     LinkTable,
     MalformedProtocolError,
     Step,
     TableProtocol,
     complexity,
     eq_oracle,
-    realized_ranges,
     simulate,
     star_protocol,
     table36,
@@ -26,8 +24,8 @@ from meqlab.core import materialize
 
 
 def test_eq_oracle_basic():
-    assert eq_oracle(InputVector((1, 1, 1), 6)) == 0
-    assert eq_oracle(InputVector((1, 2, 1), 6)) == 1
+    assert eq_oracle((1, 1, 1)) == 0
+    assert eq_oracle((1, 2, 1)) == 1
 
 
 def test_eq_oracle_enumeration_n3_m2():
@@ -36,19 +34,8 @@ def test_eq_oracle_enumeration_n3_m2():
     assert zeros == [(1, 1, 1), (2, 2, 2)]
 
 
-def test_input_vector_validation():
-    with pytest.raises(ValueError):
-        InputVector((1,), 3)
-    with pytest.raises(ValueError):
-        InputVector((1, 4), 3)
-    with pytest.raises(ValueError):
-        InputVector((1, 0), 3)
-    v = InputVector([2, 3], 3)
-    assert v.n == 2 and tuple(v) == (2, 3) and v[1] == 3
-
-
 def test_simulate_table36_all_equal_six():
-    tr = simulate(table36(), InputVector((6, 6, 6), 6))
+    tr = simulate(table36(), (6, 6, 6))
     assert tr.symbols == (3, 1, 3)
     assert tr.decisions == (0, 0, 0)
 
@@ -81,8 +68,6 @@ def test_simulate_rejects_mismatched_vectors():
         simulate(table36(), (1, 2))
     with pytest.raises(ValueError):
         simulate(table36(), (1, 2, 7))
-    with pytest.raises(ValueError):
-        simulate(table36(), InputVector((1, 2, 1), 4))
 
 
 def test_missing_step_entry_is_malformed():
@@ -166,7 +151,7 @@ def test_tightness_recomputation():
         g.decisions,
     )
     assert complexity(padded).product == 5 * 5 * 5
-    assert realized_ranges(padded) == (3, 3, 3)
+    assert tuple(st.range_size for st in tighten(padded).steps) == (3, 3, 3)
     assert complexity(tighten(padded)).product == 27
 
 

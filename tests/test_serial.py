@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meqlab import (
     cd_wrapper,
+    flip_step,
     load_protocol,
     meq3_2k,
     protocol_from_doc,
@@ -13,9 +16,9 @@ from meqlab import (
     star_protocol,
     table36,
     table_to_general,
-    to_bipartite,
+    tighten,
 )
-from meqlab.serial import bipartite_from_doc, bipartite_to_doc, dumps
+from meqlab.serial import dumps
 
 from conftest import random_correct_protocol
 
@@ -43,6 +46,26 @@ def test_round_trip_random_protocols():
         assert protocol_from_doc(protocol_to_doc(p)) == p
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.booleans(),
+    st.lists(st.integers(1, 4), max_size=2),
+)
+def test_round_trip_and_tighten_on_random_protocols(seed, M, wrap, flips):
+    t = random_correct_protocol(random.Random(seed), M)
+    g = cd_wrapper(t) if wrap else table_to_general(t)
+    for index in flips:
+        g = flip_step(g, (index - 1) % len(g.steps) + 1)
+    for p in (t, g):
+        text = dumps(protocol_to_doc(p))
+        back = protocol_from_doc(json.loads(text))
+        assert back == p
+        assert dumps(protocol_to_doc(back)) == text
+    assert tighten(tighten(g)) == tighten(g)
+
+
 def test_declared_range_survives():
     p = meq3_2k(1)
     doc = protocol_to_doc(p)
@@ -67,53 +90,6 @@ def test_file_round_trip(tmp_path):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         protocol_from_doc({"kind": "mystery"})
-
-
-MISSING = object()
-
-
-@pytest.mark.parametrize(
-    "path, value, message",
-    [
-        (("U",), MISSING, "bipartite document lacks field 'U'"),
-        (("V",), MISSING, "bipartite document lacks field 'V'"),
-        (("edges",), MISSING, "bipartite document lacks field 'edges'"),
-        (("U",), "3", "U must be an integer"),
-        (("V",), 3.0, "V must be an integer"),
-        (("edges",), {"1": 1}, "edges must be a JSON list"),
-        (("edges", 2), [1], r"edge \[1\] is not a pair of endpoints"),
-        (("edges", 2), 5, "edge must be a JSON list"),
-        (("edges", 0, 1), True, "edge endpoint must be an integer"),
-        (("colors", 0), "1", "color must be an integer"),
-        (("edges",), [[1, 1], [1, 1]], "inputs 1 and 2 collide on both outgoing links"),
-    ],
-)
-def test_bipartite_document_rejected(path, value, message):
-    doc = bipartite_to_doc(to_bipartite(table36()), (1, 2, 3, 1, 2, 3))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    if value is MISSING:
-        del target[path[-1]]
-    else:
-        target[path[-1]] = value
-    with pytest.raises(ValueError, match=message):
-        bipartite_from_doc(doc)
-
-
-def test_non_object_bipartite_document_rejected():
-    with pytest.raises(ValueError, match="bipartite document must be a JSON object"):
-        bipartite_from_doc([{"kind": "bipartite"}])
-
-
-def test_bipartite_round_trip():
-    g = to_bipartite(table36())
-    doc = bipartite_to_doc(g, (1, 2, 3, 1, 2, 3))
-    g2, inst = bipartite_from_doc(json.loads(json.dumps(doc)))
-    assert g2 == g
-    assert inst is not None and inst.colors == (1, 2, 3, 1, 2, 3)
-    plain, none_inst = bipartite_from_doc(bipartite_to_doc(g))
-    assert plain == g and none_inst is None
 
 
 @pytest.mark.parametrize(
@@ -164,5 +140,31 @@ def test_missing_field_named(protocol, path, message):
     for key in path[:-1]:
         target = target[key]
     del target[path[-1]]
+    with pytest.raises(ValueError, match=message):
+        protocol_from_doc(doc)
+
+
+def test_repeated_decision_node_rejected():
+    # a second node-3 decision that never flags would otherwise win silently
+    doc = protocol_to_doc(table_to_general(table36()))
+    silent = {"node": 3, "table": [dict(e, out=0) for e in doc["decisions"][2]["table"]]}
+    doc["decisions"].append(silent)
+    with pytest.raises(ValueError, match="decision node 3 appears more than once"):
+        protocol_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "part, index, out, message",
+    [
+        ("steps", 0, 3, r"step table has more than one entry for \(input, history\) \(1, \(\)\)"),
+        ("steps", 2, 2, r"step table has more than one entry for \(input, history\) \(1, \(1,\)\)"),
+        ("decisions", 2, 1, r"decision table has more than one entry for \(input, history\) \(1, \(1, 1\)\)"),
+    ],
+)
+def test_repeated_table_entry_rejected(part, index, out, message):
+    doc = protocol_to_doc(table_to_general(table36()))
+    table = doc[part][index]["table"]
+    # the copy sits last, so it is the one a plain load would keep
+    table.append(dict(table[0], out=out))
     with pytest.raises(ValueError, match=message):
         protocol_from_doc(doc)
