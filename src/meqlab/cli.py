@@ -161,6 +161,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    if args.kmax < 1:
+        raise ValueError("kmax must be at least 1")
     print("k,C,upper")
     for k in range(1, args.kmax + 1):
         print(f"{k},{constructions.complexity_formula_2k(k)},{2 * k}")

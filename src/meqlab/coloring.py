@@ -73,20 +73,16 @@ def to_bipartite(t: TableProtocol) -> BipartiteRep:
     return BipartiteRep(max(ab), max(ac), tuple(zip(ab, ac)))
 
 
-def _adjacent(e: tuple[int, int], f: tuple[int, int]) -> bool:
-    return e[0] == f[0] or e[1] == f[1]
-
-
 def conflict_pairs(g: BipartiteRep) -> frozenset[tuple[int, int]]:
     """Unordered label pairs any valid third-link table must separate:
-    edges sharing an endpoint, or bridged by a common adjacent edge."""
-    edges = g.edges
+    edges (u, v) and (u', v') sharing an endpoint, or bridged by a common
+    adjacent edge. A bridge shares one endpoint with each, so it is (u, v')
+    or (u', v) unless u = u' or v = v'."""
+    edges = set(g.edges)
     pairs = set()
     for x, y in itertools.combinations(range(1, g.M + 1), 2):
-        e, f = edges[x - 1], edges[y - 1]
-        if _adjacent(e, f) or any(
-            _adjacent(e, other) and _adjacent(f, other) for other in edges
-        ):
+        (u, v), (u2, v2) = g.edges[x - 1], g.edges[y - 1]
+        if u == u2 or v == v2 or (u, v2) in edges or (u2, v) in edges:
             pairs.add((x, y))
     return frozenset(pairs)
 

@@ -8,7 +8,7 @@ crossover against the 2k-bit baseline live here too, as does the wrapper
 that turns any anyone-detects protocol into a centralized-detect one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .core import (
     GeneralProtocol,
@@ -68,44 +68,34 @@ def extended_table(h: int) -> TableProtocol:
 class VectorMapping:
     """Injective encoding of the inputs 1..M as length-h digit vectors.
 
-    ``digits[x-1]`` is the vector for input x; every coordinate lies in
-    1..base. Injectivity is what lets per-coordinate equality checks decide
-    equality of the original values.
+    ``digits[x-1]`` is the big-endian base-`base` expansion of x-1, each
+    digit plus one. Injectivity is what lets per-coordinate equality checks
+    decide equality of the original values.
     """
 
     M: int
     h: int
     base: int
-    digits: tuple[tuple[int, ...], ...]
+    digits: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(tuple(d) for d in self.digits))
-        if len(self.digits) != self.M:
-            raise ValueError(f"{len(self.digits)} vectors for M={self.M}")
-        for vec in self.digits:
-            if len(vec) != self.h:
-                raise ValueError(f"vector {vec} does not have {self.h} coordinates")
-            for d in vec:
-                if not 1 <= d <= self.base:
-                    raise ValueError(f"digit {d} outside 1..{self.base}")
-        if len(set(self.digits)) != self.M:
-            raise ValueError("digit mapping is not injective")
+        if self.base < 2:
+            raise ValueError(f"base {self.base} is below 2")
+        if self.base**self.h < self.M:
+            raise ValueError(f"{self.base}**{self.h} cannot hold {self.M} values")
+        digits = []
+        for x in range(self.M):
+            vec = []
+            for _ in range(self.h):
+                vec.append(x % self.base + 1)
+                x //= self.base
+            digits.append(tuple(reversed(vec)))
+        object.__setattr__(self, "digits", tuple(digits))
 
     @classmethod
     def radix(cls, M: int, base: int, h: int | None = None) -> "VectorMapping":
-        """Big-endian base-`base` digits of x-1, each shifted up by one."""
-        if h is None:
-            h = least_exponent(base, M)
-        if base**h < M:
-            raise ValueError(f"{base}**{h} cannot hold {M} values")
-        digits = []
-        for x in range(M):
-            vec = []
-            for _ in range(h):
-                vec.append(x % base + 1)
-                x //= base
-            digits.append(tuple(reversed(vec)))
-        return cls(M, h, base, tuple(digits))
+        """The mapping with h digits, by default the fewest that hold M values."""
+        return cls(M, least_exponent(base, M) if h is None else h, base)
 
 
 def least_exponent(base: int, value: int) -> int:

@@ -287,35 +287,24 @@ def rectangles(n: int, M: int, schedule: list[tuple[int, int]], send) -> Iterato
     ``send(l, x, h_T)`` and appends the symbol to R's history. At a leaf,
     sets[i] lists node i+1's inputs in ascending order and histories[i] what
     it received; every input lies in exactly one leaf. The cost follows the
-    number of rectangles, not M**n. The yielded lists are reused.
+    number of rectangles, not M**n. Leaves come depth first.
     """
-    sets = [range(1, M + 1)] * n
-    histories = [()] * n
-    # one entry per open step: its endpoints, its unexplored branches, and
-    # the sender's set and receiver's history before it. A loop, not
-    # recursion, since a schedule may outgrow the recursion limit.
-    stack = []
-    while True:
-        l = len(stack)
+    # (depth, sets, histories) of unexplored tree vertices, the next on top. A
+    # loop, not recursion, since a schedule may outgrow the recursion limit.
+    stack = [(0, [range(1, M + 1)] * n, [()] * n)]
+    while stack:
+        l, sets, histories = stack.pop()
         if l == len(schedule):
             yield sets, histories
-        else:
-            t, r = schedule[l][0] - 1, schedule[l][1] - 1
-            groups = {}
-            for x in sets[t]:
-                groups.setdefault(send(l, x, histories[t]), []).append(x)
-            stack.append((t, r, iter(groups.items()), sets[t], histories[r]))
-        # enter the next unexplored branch, restoring every step left behind
-        while stack:
-            t, r, branches, own, heard = stack[-1]
-            branch = next(branches, None)
-            if branch is not None:
-                sets[t], histories[r] = branch[1], heard + (branch[0],)
-                break
-            sets[t], histories[r] = own, heard
-            stack.pop()
-        else:
-            return
+            continue
+        t, r = schedule[l][0] - 1, schedule[l][1] - 1
+        groups = {}
+        for x in sets[t]:
+            groups.setdefault(send(l, x, histories[t]), []).append(x)
+        for sym, xs in reversed(groups.items()):
+            child_sets, child_histories = sets.copy(), histories.copy()
+            child_sets[t], child_histories[r] = xs, histories[r] + (sym,)
+            stack.append((l + 1, child_sets, child_histories))
 
 
 def decided_rectangles(p: GeneralProtocol) -> Iterator:
@@ -352,7 +341,7 @@ def materialize(
     already is kept as built.
 
     `range_overrides` maps 1-based step indexes to a declared range_size
-    (used for fixed-width framing); it must cover the realized count.
+    (for fixed-width framing); Step rejects one below the realized count.
     """
     tables = [{} for _ in schedule]
 
@@ -387,12 +376,7 @@ def materialize(
 
     steps = []
     for l, (sender, receiver) in enumerate(schedule):
-        size = len(remaps[l])
-        if range_overrides and (l + 1) in range_overrides:
-            declared = range_overrides[l + 1]
-            if declared < size:
-                raise ValueError(f"declared range {declared} below realized {size} at step {l + 1}")
-            size = declared
+        size = (range_overrides or {}).get(l + 1, len(remaps[l]))
         table = renumber(sender, tables[l], None if dense[l] else remaps[l])
         steps.append(Step(sender, receiver, table, size))
     decision_tables = {node: renumber(node, table, None) for node, table in decision_tables.items()}

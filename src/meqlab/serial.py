@@ -105,12 +105,12 @@ def protocol_from_doc(doc: dict) -> Protocol:
             ))
         return TableProtocol(n, M, tuple(links))
     steps = []
-    for raw in _list(doc["steps"], "steps"):
+    for index, raw in enumerate(_list(doc["steps"], "steps"), 1):
         raw = _object(raw, "step", "from", "to", "table", "range")
         steps.append(Step(
             _integer(raw["from"], "step endpoint"),
             _integer(raw["to"], "step endpoint"),
-            _lookup(raw["table"], "step table"),
+            _lookup(raw["table"], f"step {index} table"),
             _integer(raw["range"], "range"),
         ))
     decisions = {}
@@ -119,7 +119,7 @@ def protocol_from_doc(doc: dict) -> Protocol:
         node = _integer(raw["node"], "decision node")
         if node in decisions:
             raise ValueError(f"decision node {node} appears more than once")
-        decisions[node] = _lookup(raw["table"], "decision table")
+        decisions[node] = _lookup(raw["table"], f"node {node} decision table")
     return GeneralProtocol(n, M, tuple(steps), decisions)
 
 

@@ -87,6 +87,20 @@ def canonical_oracle(edges, a: int, b: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def conflict_oracle(g: BipartiteRep) -> frozenset[tuple[int, int]]:
+    """Label pairs whose edges share an endpoint or are both adjacent to a
+    common edge, found by trying every edge as the bridge."""
+    def adjacent(e, f):
+        return e[0] == f[0] or e[1] == f[1]
+
+    return frozenset(
+        (x, y)
+        for x, y in itertools.combinations(range(1, g.M + 1), 2)
+        if adjacent(g.edges[x - 1], g.edges[y - 1])
+        or any(adjacent(g.edges[x - 1], e) and adjacent(g.edges[y - 1], e) for e in g.edges)
+    )
+
+
 def materialize_oracle(n, M, schedule, semantics, range_overrides=None) -> GeneralProtocol:
     """Dense tables rebuilt by replaying `semantics(values) -> (symbols,
     decisions)` on every input in lexicographic order, independent of

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from meqlab import LinkTable, TableProtocol, load_protocol, save_protocol, table36, table_to_general
 from meqlab.cli import run
 
@@ -78,6 +80,25 @@ def test_figure_deterministic(capsys):
     first = capsys.readouterr().out
     run(["figure", "--kmax", "50"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_figure_rejects_kmax_below_one(capsys, kmax):
+    assert run(["figure", "--kmax", kmax]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: kmax must be at least 1\n"
+
+
+def test_build_cdwrap_needs_a_table_file(tmp_path, capsys):
+    out = str(tmp_path / "cd.json")
+    assert run(["build", "cdwrap", "--out", out]) == 1
+    assert capsys.readouterr().err == "usage error: build cdwrap needs a base protocol file\n"
+    general = tmp_path / "g.json"
+    save_protocol(table_to_general(table36()), general)
+    assert run(["build", "cdwrap", str(general), "--out", out]) == 1
+    assert capsys.readouterr().err == "usage error: cdwrap expects a table-kind protocol file\n"
+    assert not (tmp_path / "cd.json").exists()
 
 
 def test_build_and_simulate(tmp_path, capsys):

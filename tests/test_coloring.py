@@ -25,7 +25,7 @@ from meqlab import (
     verify_ad,
 )
 
-from conftest import canonical_oracle, random_correct_protocol
+from conftest import canonical_oracle, conflict_oracle, random_correct_protocol
 from meqlab.coloring import _is_canonical
 
 
@@ -102,6 +102,45 @@ def test_conflicts_of_table36_graph():
     bc = table36().link(2, 3).symbols
     for x, y in pairs:
         assert bc[x - 1] != bc[y - 1]
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 4) for b in range(1, 5)])
+def test_conflicts_match_oracle_on_every_edge_set(a, b):
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    for k in range(len(cells) + 1):
+        for combo in itertools.combinations(cells, k):
+            g = BipartiteRep(a, b, combo)
+            assert conflict_pairs(g) == conflict_oracle(g)
+
+
+@st.composite
+def labelled_graphs(draw):
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 6))
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    return BipartiteRep(a, b, tuple(draw(st.lists(st.sampled_from(cells), unique=True))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_graphs())
+def test_conflicts_match_oracle_on_random_edge_sets(g):
+    assert conflict_pairs(g) == conflict_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BipartiteRep(0, 1, ()), "vertex classes must be nonempty"),
+        (lambda: BipartiteRep(1, 1, ((2, 1),)), "edge 1 endpoint (2,1) out of range"),
+        (lambda: to_bipartite(TableProtocol(2, 1, ())), "bipartite view is defined for three-node protocols"),
+        (lambda: ColoringInstance(BipartiteRep(1, 1, ((1, 1),)), (0,)), "color 0 must be positive"),
+        (lambda: strong_edge_color(BipartiteRep(1, 1, ((1, 1),)), 0), "W_size must be positive"),
+    ],
+)
+def test_bipartite_arguments_rejected(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_strong_coloring_of_table36_graph():

@@ -81,9 +81,17 @@ def test_mapping_rejects_bad_input():
     with pytest.raises(ValueError):
         VectorMapping.radix(37, 6, 2)
     with pytest.raises(ValueError):
-        VectorMapping(2, 1, 6, ((1,), (1,)))  # not injective
+        VectorMapping(36, 1, 6)  # one base-6 digit holds six values
     with pytest.raises(ValueError):
-        VectorMapping(2, 1, 6, ((1,), (7,)))  # digit out of range
+        VectorMapping.radix(6, 1)  # base below 2
+    with pytest.raises(ValueError, match="base 1 is below 2"):
+        VectorMapping(6, 6, 1)
+
+
+@pytest.mark.parametrize("build", [meq3_2k, complexity_formula_2k])
+def test_binary_construction_rejects_k_below_one(build):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        build(0)
 
 
 def test_parallel_compose_h1_is_base():

@@ -20,7 +20,7 @@ from meqlab import (
     verify_ad,
     verify_cd,
 )
-from meqlab.core import materialize
+from meqlab.core import materialize, rectangles, rules
 
 
 def test_eq_oracle_basic():
@@ -207,3 +207,41 @@ def test_schedule_longer_than_recursion_limit():
     assert len(p.steps) == len(steps)
     assert verify_ad(p).ok and verify_cd(p, 1).ok
     assert tighten(p) == p
+
+
+def test_rectangle_leaves_partition_the_inputs():
+    g = table_to_general(table36())
+    leaves = list(rectangles(g.n, g.M, *rules(g)[:2]))
+    covered = []
+    for sets, histories in leaves:
+        for v in itertools.product(*sets):
+            assert simulate(g, v).received == tuple(histories)
+            covered.append(v)
+    assert sorted(covered) == list(itertools.product(range(1, 7), repeat=3))
+
+
+def test_materialize_rejects_override_below_realized():
+    # step 1 of table36 realizes three symbols
+    with pytest.raises(ValueError, match="symbol 3 outside 1..2"):
+        materialize(3, 6, *rules(table36()), {1: 2})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Step(1, 1, {}, 1), "sender and receiver must differ"),
+        (lambda: Step(1, 2, {}, 0), "range_size must be positive"),
+        (lambda: Step(1, 2, {1: 1}, 1), "table key 1 is not (input, history)"),
+        (lambda: Step(1, 2, {(1, ()): 2}, 1), "symbol 2 outside 1..1"),
+        (lambda: GeneralProtocol(2, 2, (Step(1, 3, {}, 1),)), "node 3 outside 1..2"),
+        (lambda: GeneralProtocol(2, 2, (), {3: {}}), "decision node 3 outside 1..2"),
+        (lambda: GeneralProtocol(2, 2, (), {2: {(1, ()): 2}}), "decision 2 for node 2 is not a bit"),
+        (lambda: LinkTable(2, 2, (1,)), "sender and receiver must differ"),
+        (lambda: LinkTable(1, 2, ()), "empty symbol table"),
+        (lambda: TableProtocol(2, 1, (LinkTable(1, 3, (1,)),)), "link endpoint outside node range"),
+    ],
+)
+def test_constructor_rejects(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -131,7 +131,7 @@ def test_non_integer_general_entries_rejected():
         (table36(), ("links", 1, "symbols"), "link lacks field 'symbols'"),
         (table_to_general(table36()), ("steps", 0, "range"), "step lacks field 'range'"),
         (table_to_general(table36()), ("decisions", 0, "node"), "decision lacks field 'node'"),
-        (table_to_general(table36()), ("steps", 2, "table", 0, "out"), "step table entry lacks field 'out'"),
+        (table_to_general(table36()), ("steps", 2, "table", 0, "out"), "step 3 table entry lacks field 'out'"),
     ],
 )
 def test_missing_field_named(protocol, path, message):
@@ -156,9 +156,9 @@ def test_repeated_decision_node_rejected():
 @pytest.mark.parametrize(
     "part, index, out, message",
     [
-        ("steps", 0, 3, r"step table has more than one entry for \(input, history\) \(1, \(\)\)"),
-        ("steps", 2, 2, r"step table has more than one entry for \(input, history\) \(1, \(1,\)\)"),
-        ("decisions", 2, 1, r"decision table has more than one entry for \(input, history\) \(1, \(1, 1\)\)"),
+        ("steps", 0, 3, r"step 1 table has more than one entry for \(input, history\) \(1, \(\)\)"),
+        ("steps", 2, 2, r"step 3 table has more than one entry for \(input, history\) \(1, \(1,\)\)"),
+        ("decisions", 2, 1, r"node 3 decision table has more than one entry for \(input, history\) \(1, \(1, 1\)\)"),
     ],
 )
 def test_repeated_table_entry_rejected(part, index, out, message):

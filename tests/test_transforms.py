@@ -59,6 +59,20 @@ def test_expected_symbol_validation():
         expected_symbol(g, 1, 7)
 
 
+@pytest.mark.parametrize("index", [0, 4])
+def test_flip_step_index_validation(index):
+    with pytest.raises(ValueError, match=f"step index {index} outside 1..3"):
+        flip_step(table_to_general(table36()), index)
+
+
+def test_flip_without_decision_table_decides_zero():
+    g = table_to_general(table36())
+    assert set(g.decisions[1].values()) == {0}
+    silent = GeneralProtocol(g.n, g.M, g.steps, {node: t for node, t in g.decisions.items() if node != 1})
+    for index in (1, 2, 3):
+        assert flip_step(silent, index) == flip_step(g, index)
+
+
 def test_flip_third_link_stays_correct():
     g = table_to_general(table36())
     flipped = flip_step(g, 3)
