@@ -25,6 +25,15 @@ def check_size(n: int, M: int) -> None:
         raise ValueError("alphabet size must be positive")
 
 
+def placed(part: str, build, *args):
+    """build(*args), with `part` named in front of a ValueError it raises,
+    for errors of a whole built from many parts (`step 3: ...`)."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise ValueError(f"{part}: {err}") from None
+
+
 def eq_oracle(v) -> int:
     """0 if every node holds the same value, 1 otherwise."""
     values = tuple(v)
@@ -378,7 +387,7 @@ def materialize(
     for l, (sender, receiver) in enumerate(schedule):
         size = (range_overrides or {}).get(l + 1, len(remaps[l]))
         table = renumber(sender, tables[l], None if dense[l] else remaps[l])
-        steps.append(Step(sender, receiver, table, size))
+        steps.append(placed(f"step {l + 1}", Step, sender, receiver, table, size))
     decision_tables = {node: renumber(node, table, None) for node, table in decision_tables.items()}
     return GeneralProtocol(n, M, tuple(steps), decision_tables)
 

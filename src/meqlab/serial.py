@@ -6,9 +6,11 @@ files are a faithful interchange format between the CLI subcommands.
 
 import json
 from collections import Counter
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
-from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol
+from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol, placed
 
 
 def _entries(table: dict) -> list:
@@ -56,13 +58,31 @@ def _object(value, what: str, *required: str) -> dict:
     return value
 
 
-def _lookup(raw, what: str) -> dict:
-    """An (input, history) -> output table from its list of entries."""
-    # checked inline rather than through _integer: general files hold up to
-    # hundreds of thousands of entries, and a call per field doubles load time
-    table = {}
+def _columns(entries: list):
+    """The input, history and out columns of a table's entries, or None
+    unless every entry is an object with an integer input and output and a
+    list of integers as history."""
+    if not all(map(isinstance, entries, repeat(dict))):
+        return None
     try:
-        for e in _list(raw, what):
+        inputs, histories, outs = (
+            list(map(itemgetter(name), entries)) for name in ("input", "history", "out")
+        )
+    except KeyError:
+        return None
+    if (
+        set(map(type, chain(inputs, outs))) <= {int}
+        and set(map(type, histories)) <= {list}
+        and set(map(type, chain.from_iterable(histories))) <= {int}
+    ):
+        return inputs, histories, outs
+    return None
+
+
+def _reject(entries: list, what: str) -> None:
+    """Raise the error that names the first entry _columns refuses."""
+    for e in entries:
+        try:
             if not (
                 isinstance(e, dict)
                 and type(e["input"]) is int
@@ -71,12 +91,23 @@ def _lookup(raw, what: str) -> dict:
                 and all(type(h) is int for h in e["history"])
             ):
                 raise ValueError(f"{what} entry {e!r} is not integer input, history and output")
-            table[(e["input"], tuple(e["history"]))] = e["out"]
-    except KeyError as err:
-        raise ValueError(f"{what} entry lacks field {err.args[0]!r}") from None
+        except KeyError as err:
+            raise ValueError(f"{what} entry lacks field {err.args[0]!r}") from None
+
+
+def _lookup(raw, what: str) -> dict:
+    """An (input, history) -> output table from its list of entries."""
+    # general files hold up to hundreds of thousands of entries, so they are
+    # checked a column at a time at C speed; only a refused one is walked
+    entries = _list(raw, what)
+    columns = _columns(entries)
+    if columns is None:
+        _reject(entries, what)  # raises
+    inputs, histories, outs = columns
+    table = dict(zip(zip(inputs, map(tuple, histories)), outs))
     # a repeated key would silently keep its last copy; the count shows one
-    if len(table) < len(raw):
-        keys = Counter((e["input"], tuple(e["history"])) for e in raw)
+    if len(table) < len(entries):
+        keys = Counter((e["input"], tuple(e["history"])) for e in entries)
         key = next(k for k, count in keys.items() if count > 1)
         raise ValueError(f"{what} has more than one entry for (input, history) {key}")
     return table
@@ -107,7 +138,9 @@ def protocol_from_doc(doc: dict) -> Protocol:
     steps = []
     for index, raw in enumerate(_list(doc["steps"], "steps"), 1):
         raw = _object(raw, "step", "from", "to", "table", "range")
-        steps.append(Step(
+        steps.append(placed(
+            f"step {index}",
+            Step,
             _integer(raw["from"], "step endpoint"),
             _integer(raw["to"], "step endpoint"),
             _lookup(raw["table"], f"step {index} table"),
@@ -120,7 +153,7 @@ def protocol_from_doc(doc: dict) -> Protocol:
         if node in decisions:
             raise ValueError(f"decision node {node} appears more than once")
         decisions[node] = _lookup(raw["table"], f"node {node} decision table")
-    return GeneralProtocol(n, M, tuple(steps), decisions)
+    return placed("general document", GeneralProtocol, n, M, tuple(steps), decisions)
 
 
 def dumps(doc: dict) -> str:

@@ -15,11 +15,15 @@ incoming symbol differs from the one its own input would send, so a
 violation is a non-constant input on which every checked link's two
 endpoints send the same symbol. Such inputs are found node by node from
 per-link symbol buckets, as in generic join (Ngo, Porat, Re and Rudra, PODS
-2012), without visiting the vectors the buckets rule out.
+2012), with forward checking (Haralick and Elliott, AIJ 1980): a value is
+kept only while every receiver it sends to still has an input left that
+matches all the symbols it has been sent, so no branch without a complete
+extension is entered.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 
 from .core import (
     GeneralProtocol,
@@ -58,11 +62,17 @@ class Verdict:
     lower-ranked vector was shown to satisfy the contract. Both search
     paths decide vectors in bulk, by rectangle or by symbol bucket, so it
     counts vectors decided, not vectors visited.
+
+    `nodes` is the work the search did: the partial assignments the join
+    search made for a table protocol, the transcript leaves read for a
+    general one. It takes no part in equality, so two verdicts are equal
+    when they decide the same.
     """
 
     ok: bool
     counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     vectors_checked: int = 0
+    nodes: int = field(default=0, compare=False)
 
 
 def _check_budget(p: Protocol, budget: int) -> int:
@@ -80,30 +90,36 @@ def _rank(values: tuple[int, ...], M: int) -> int:
     return rank + 1
 
 
-def _first_nonconstant(n: int, candidates) -> tuple[int, ...] | None:
-    """The first non-constant vector of a depth-first search that tries node
-    j's values from ``candidates(j, values)``, ascending, once nodes before j
-    hold values[:j]. Complete vectors appear in lexicographic order, so this
-    is the smallest one; None if there is none."""
+def _first_nonconstant(n: int, candidates, state=None) -> tuple[tuple[int, ...] | None, int]:
+    """The first non-constant vector of a depth-first search, or None if
+    there is none, and the number of partial assignments made on the way.
+
+    ``candidates(j, state)`` gives node j's values in ascending order, each
+    paired with the state that node j+1's candidates take; `state` is node
+    1's. Complete vectors appear in lexicographic order, so the vector found
+    is the smallest one."""
     values = [0] * n
-    stack = [iter(candidates(0, values))]
+    stack = [iter(candidates(0, state))]
+    nodes = 0
     while stack:
-        x = next(stack[-1], None)
-        if x is None:
+        pair = next(stack[-1], None)
+        if pair is None:
             stack.pop()
             continue
-        values[len(stack) - 1] = x
-        if len(stack) < n:
-            stack.append(iter(candidates(len(stack), values)))
+        depth = len(stack)
+        values[depth - 1], state = pair
+        nodes += 1
+        if depth < n:
+            stack.append(iter(candidates(depth, state)))
         elif values.count(values[0]) < n:
-            return tuple(values)
-    return None
+            return tuple(values), nodes
+    return None, nodes
 
 
-def _smallest_violation(p: GeneralProtocol, checked) -> tuple[int, ...] | None:
+def _smallest_violation(p: GeneralProtocol, checked) -> tuple[tuple[int, ...] | None, int]:
     """Lexicographically smallest input on which a node in `checked` gets
     the equality bit wrong (all of them say 0 on an unequal input, or one
-    says 1 on an equal one), or None.
+    says 1 on an equal one), or None; and the number of leaves read.
 
     Inside a leaf S_1 x ... x S_n of p's transcript tree each node decides
     on its own input alone. Let Z_i hold the inputs in S_i on which node i
@@ -113,8 +129,9 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[int, ...] | None:
     leaf is read, so a missing reachable entry raises
     MalformedProtocolError whatever the verdict.
     """
-    best = None
+    best, leaves = None, 0
     for sets, bits in decided_rectangles(p):
+        leaves += 1
         zs, raised = [], set()
         for node, (xs, bs) in enumerate(zip(sets, bits), 1):
             if node in checked:
@@ -125,52 +142,62 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[int, ...] | None:
         constant = min(raised.intersection(*sets), default=None)
         # an empty Z_i leaves nothing to find, and would send the search through
         # every choice before it; with none empty it passes one constant vector at most
-        unflagged = _first_nonconstant(p.n, lambda j, _: zs[j]) if all(zs) else None
+        unflagged = None
+        if all(zs):
+            unflagged, _ = _first_nonconstant(p.n, lambda j, _: zip(zs[j], repeat(None)))
         for values in (unflagged, constant and (constant,) * p.n):
             if values and (best is None or values < best):
                 best = values
-    return best
+    return best, leaves
 
 
-def _agreeing_input(t: TableProtocol, links) -> tuple[int, ...] | None:
+def _agreeing_input(t: TableProtocol, links) -> tuple[tuple[int, ...] | None, int]:
     """Lexicographically smallest non-constant input on which every link in
-    `links` carries the symbol its receiver's own input would send, or None.
+    `links` carries the symbol its receiver's own input would send, or None;
+    and the number of partial assignments made.
 
     Nodes are assigned depth first in order 1..n, and links point from lower
-    to higher ids, so every sender is assigned before its receiver. The
-    candidates for a node are the inputs in the bucket of the symbol received
-    on each of its incoming links, intersected (all of 1..M when it has
-    none). They are tried in ascending order, so complete assignments appear
-    in lexicographic order and the first non-constant one is the smallest;
-    at most M constant ones come before it.
+    to higher ids, so every sender is assigned before its receiver. Each
+    receiver keeps a domain: the inputs that agree with the symbols of all
+    its assigned senders, the intersection of one bucket per link (None
+    while it has been sent nothing, so all of 1..M). A node's candidates are
+    its sorted domain. A candidate is dropped when it would empty the domain
+    of a node it sends to, since it then has no complete extension; a kept
+    one passes the narrowed domains on. Candidates are tried in ascending
+    order, so complete assignments appear in lexicographic order and the
+    first non-constant one is the smallest; at most M constant ones come
+    before it.
     """
-    n = t.n
-    incoming = [[] for _ in range(n)]
+    outgoing = [[] for _ in range(t.n)]
     for lk in links:
         buckets = {}
         for x, sym in enumerate(lk.symbols, 1):
             buckets.setdefault(sym, set()).add(x)
-        incoming[lk.receiver - 1].append((lk.sender - 1, lk.symbols, buckets))
+        outgoing[lk.sender - 1].append((lk.receiver - 1, [buckets[sym] for sym in lk.symbols]))
     every = range(1, t.M + 1)
 
-    def candidates(j: int, values):
-        if not incoming[j]:
-            return every
-        return sorted(set.intersection(*(
-            buckets[symbols[values[s] - 1]] for s, symbols, buckets in incoming[j]
-        )))
+    def candidates(j: int, domains):
+        for x in every if domains[j] is None else sorted(domains[j]):
+            narrowed = list(domains)
+            for r, agreeing in outgoing[j]:
+                domain = agreeing[x - 1] if narrowed[r] is None else narrowed[r] & agreeing[x - 1]
+                if not domain:
+                    break
+                narrowed[r] = domain
+            else:
+                yield x, narrowed
 
-    return _first_nonconstant(n, candidates)
+    return _first_nonconstant(t.n, candidates, [None] * t.n)
 
 
 def _decide(p: Protocol, checked: set[int], total: int) -> Verdict:
     if isinstance(p, TableProtocol):
-        values = _agreeing_input(p, [lk for lk in p.links if lk.receiver in checked])
+        values, nodes = _agreeing_input(p, [lk for lk in p.links if lk.receiver in checked])
     else:
-        values = _smallest_violation(p, checked)
+        values, nodes = _smallest_violation(p, checked)
     if values is None:
-        return Verdict(True, None, total)
-    return Verdict(False, (values, simulate(p, values).decisions), _rank(values, p.M))
+        return Verdict(True, None, total, nodes)
+    return Verdict(False, (values, simulate(p, values).decisions), _rank(values, p.M), nodes)
 
 
 def verify_ad(p: Protocol, budget: int = DEFAULT_BUDGET) -> Verdict:

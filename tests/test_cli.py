@@ -226,3 +226,14 @@ def test_repeated_decision_node(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["verify", "--ad", str(path)]) == 1
     assert capsys.readouterr().err == "error: decision node 3 appears more than once\n"
+
+
+def test_range_error_names_the_step(tmp_path, capsys):
+    # step 3 of table36 realizes three symbols
+    path = tmp_path / "g36.json"
+    save_protocol(table_to_general(table36()), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["steps"][2]["range"] = 2
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 1
+    assert capsys.readouterr().err == "error: step 3: symbol 3 outside 1..2\n"

@@ -222,7 +222,7 @@ def test_rectangle_leaves_partition_the_inputs():
 
 def test_materialize_rejects_override_below_realized():
     # step 1 of table36 realizes three symbols
-    with pytest.raises(ValueError, match="symbol 3 outside 1..2"):
+    with pytest.raises(ValueError, match="^step 1: symbol 3 outside 1..2$"):
         materialize(3, 6, *rules(table36()), {1: 2})
 
 

@@ -18,6 +18,7 @@ from meqlab import (
     table_to_general,
     tighten,
 )
+from meqlab.cli import run
 from meqlab.serial import dumps
 
 from conftest import random_correct_protocol
@@ -168,3 +169,74 @@ def test_repeated_table_entry_rejected(part, index, out, message):
     table.append(dict(table[0], out=out))
     with pytest.raises(ValueError, match=message):
         protocol_from_doc(doc)
+
+
+def set_entry(part, index, entry, value):
+    def edit(doc):
+        doc[part][index]["table"][entry] = value
+    return edit
+
+
+def set_field(part, index, entry, name, value):
+    def edit(doc):
+        doc[part][index]["table"][entry][name] = value
+    return edit
+
+
+def delete_field(part, index, entry, name):
+    def edit(doc):
+        del doc[part][index]["table"][entry][name]
+    return edit
+
+
+def repeat_entry(part, index, entry):
+    def edit(doc):
+        table = doc[part][index]["table"]
+        table.append(dict(table[entry]))
+    return edit
+
+
+def set_table(part, index, value):
+    def edit(doc):
+        doc[part][index]["table"] = value
+    return edit
+
+
+def two_faults(doc):
+    # the earlier of two bad entries is the one named
+    table = doc["decisions"][2]["table"]
+    del table[4]["out"]
+    table[7]["input"] = True
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_entry("steps", 1, 3, [4, [], 3]),
+         "step 2 table entry [4, [], 3] is not integer input, history and output"),
+        (set_field("steps", 2, 5, "history", "2"),
+         "step 3 table entry {'input': 2, 'history': '2', 'out': 2} "
+         "is not integer input, history and output"),
+        (set_field("steps", 0, 0, "input", True),
+         "step 1 table entry {'input': True, 'history': [], 'out': 1} "
+         "is not integer input, history and output"),
+        (set_field("decisions", 2, 1, "history", [1, 2.0]),
+         "node 3 decision table entry {'input': 1, 'history': [1, 2.0], 'out': 1} "
+         "is not integer input, history and output"),
+        (delete_field("steps", 2, 4, "out"), "step 3 table entry lacks field 'out'"),
+        (repeat_entry("decisions", 1, 5),
+         "node 2 decision table has more than one entry for (input, history) (2, (3,))"),
+        (set_table("steps", 0, {"input": 1, "history": [], "out": 1}),
+         "step 1 table must be a JSON list, got dict"),
+        (two_faults, "node 3 decision table entry lacks field 'out'"),
+    ],
+    ids=["not-an-object", "string-history", "bool-input", "float-in-history",
+         "missing-out", "repeated-key", "not-a-list", "first-of-two"],
+)
+def test_loader_errors_exit_one(tmp_path, capsys, edit, message):
+    doc = protocol_to_doc(table_to_general(table36()))
+    edit(doc)
+    path = tmp_path / "g36.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

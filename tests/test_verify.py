@@ -9,6 +9,7 @@ from meqlab import (
     MalformedProtocolError,
     Step,
     TableProtocol,
+    Verdict,
     cd_wrapper,
     complexity,
     eq_oracle,
@@ -22,6 +23,7 @@ from meqlab import (
     verify_ad,
     verify_cd,
 )
+from meqlab.core import rectangles, rules
 
 
 def mutate_third_link(value_at_4: int) -> TableProtocol:
@@ -81,6 +83,21 @@ def test_centralized_implies_anyone_detects_for_constructions():
 def test_detector_validation():
     with pytest.raises(ValueError):
         verify_cd(table36(), detector=4)
+
+
+def test_star_join_is_pruned():
+    # forward checking leaves each sender one value per collector input, so
+    # 100**4 vectors are decided in at most 4*100 partial assignments
+    verdict = verify_ad(star_protocol(4, 100))
+    assert verdict.ok and verdict.vectors_checked == 10**8
+    assert 0 < verdict.nodes <= 4 * 100
+
+
+def test_nodes_count_work_but_not_equality():
+    g = table_to_general(table36())
+    assert verify_ad(g).nodes == len(list(rectangles(g.n, g.M, *rules(g)[:2])))
+    assert verify_ad(g) == Verdict(True, None, 216)
+    assert Verdict(True, None, 216, nodes=1) == Verdict(True, None, 216, nodes=2)
 
 
 def test_budget_refusal():

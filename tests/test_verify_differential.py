@@ -42,23 +42,48 @@ def assert_matches_oracle(p):
         assert verify_cd(p, d) == expected[d], f"detector {d}"
 
 
+def dense(raw) -> tuple[int, ...]:
+    """`raw` with its symbols ranked 1..S, as a link table requires."""
+    rank = {sym: i for i, sym in enumerate(sorted(set(raw)), 1)}
+    return tuple(rank[sym] for sym in raw)
+
+
+def draw_link(draw, s: int, r: int, M: int) -> LinkTable:
+    # injective links make correct protocols and late counterexamples common
+    if draw(st.booleans()):
+        raw = draw(st.permutations(range(1, M + 1)))
+    else:
+        top = draw(st.integers(1, M))
+        raw = draw(st.lists(st.integers(1, top), min_size=M, max_size=M))
+    return LinkTable(s, r, dense(raw))
+
+
 @st.composite
 def table_protocols(draw, max_n=5, max_M=9):
     n = draw(st.integers(2, max_n))
     M = draw(st.integers(1, max_M))
-    links = []
-    for s in range(1, n + 1):
-        for r in range(s + 1, n + 1):
-            if not draw(st.booleans()):
-                continue
-            # injective links make correct protocols and late counterexamples common
-            if draw(st.booleans()):
-                raw = draw(st.permutations(range(1, M + 1)))
-            else:
-                top = draw(st.integers(1, M))
-                raw = draw(st.lists(st.integers(1, top), min_size=M, max_size=M))
-            dense = {sym: i for i, sym in enumerate(sorted(set(raw)), 1)}
-            links.append(LinkTable(s, r, tuple(dense[sym] for sym in raw)))
+    links = [
+        draw_link(draw, s, r, M)
+        for s in range(1, n + 1)
+        for r in range(s + 1, n + 1)
+        if draw(st.booleans())
+    ]
+    return TableProtocol(n, M, tuple(links))
+
+
+@st.composite
+def protocols_with_silent_nodes(draw, max_n=5, max_M=5):
+    """Table protocols in which node 1 and at least one other node receive
+    no link, so the join search leaves them unconstrained until they send."""
+    n = draw(st.integers(3, max_n))
+    M = draw(st.integers(1, max_M))
+    receivers = draw(st.sets(st.integers(2, n), min_size=1, max_size=n - 2))
+    links = [
+        draw_link(draw, s, r, M)
+        for s in range(1, n + 1)
+        for r in range(s + 1, n + 1)
+        if r in receivers and draw(st.booleans())
+    ]
     return TableProtocol(n, M, tuple(links))
 
 
@@ -66,6 +91,51 @@ def table_protocols(draw, max_n=5, max_M=9):
 @given(table_protocols())
 def test_random_tables_match_brute_force(p):
     assert_matches_oracle(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocols_with_silent_nodes())
+def test_silent_nodes_match_brute_force(p):
+    assert_matches_oracle(p)
+
+
+STAR_SIZES = {3: 8, 4: 6, 5: 4}
+
+
+def relabelled_star(n: int, rng: random.Random) -> TableProtocol:
+    """star_protocol(n, M) with its inputs renamed by a seeded permutation:
+    input x sends what input perm[x-1] sent."""
+    star = star_protocol(n, STAR_SIZES[n])
+    perm = rng.sample(range(1, star.M + 1), star.M)
+    return TableProtocol(n, star.M, tuple(
+        LinkTable(lk.sender, lk.receiver, tuple(lk.symbols[y - 1] for y in perm))
+        for lk in star.links
+    ))
+
+
+@pytest.mark.parametrize("n", sorted(STAR_SIZES))
+def test_relabelled_stars_match_brute_force(n):
+    p = relabelled_star(n, random.Random(n))
+    assert verify_ad(p).ok
+    assert_matches_oracle(p)
+
+
+@pytest.mark.parametrize(
+    "n, sender", [(n, s) for n in sorted(STAR_SIZES) for s in range(1, n)],
+)
+def test_stars_with_a_merged_pair_match_brute_force(n, sender):
+    # input b of one sender sends what input a sends, so the collector can no
+    # longer tell a from b on that link
+    rng = random.Random(f"{n}/{sender}")
+    p = relabelled_star(n, rng)
+    a, b = sorted(rng.sample(range(1, p.M + 1), 2))
+    links = list(p.links)
+    symbols = list(links[sender - 1].symbols)
+    symbols[b - 1] = symbols[a - 1]
+    links[sender - 1] = LinkTable(sender, n, dense(symbols))
+    merged = TableProtocol(n, p.M, tuple(links))
+    assert not verify_ad(merged).ok
+    assert_matches_oracle(merged)
 
 
 def table36_conflict_merges():
