@@ -88,10 +88,10 @@ class GeneralProtocol:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         check_size(self.n, self.M)
-        for st in self.steps:
+        for index, st in enumerate(self.steps, 1):
             for node in (st.sender, st.receiver):
                 if not 1 <= node <= self.n:
-                    raise ValueError(f"node {node} outside 1..{self.n}")
+                    raise ValueError(f"step {index}: node {node} outside 1..{self.n}")
         for node, table in self.decisions.items():
             if not 1 <= node <= self.n:
                 raise ValueError(f"decision node {node} outside 1..{self.n}")
@@ -145,16 +145,16 @@ class TableProtocol:
         object.__setattr__(self, "links", tuple(self.links))
         check_size(self.n, self.M)
         prev = None
-        for lk in self.links:
+        for index, lk in enumerate(self.links, 1):
             if not (1 <= lk.sender <= self.n and 1 <= lk.receiver <= self.n):
-                raise ValueError("link endpoint outside node range")
+                raise ValueError(f"link {index} endpoint outside 1..{self.n}")
             if lk.sender >= lk.receiver:
-                raise ValueError(f"link ({lk.sender},{lk.receiver}) not oriented low->high")
+                raise ValueError(f"link {index} ({lk.sender},{lk.receiver}) not oriented low->high")
             if len(lk.symbols) != self.M:
-                raise ValueError(f"link table has {len(lk.symbols)} entries, expected {self.M}")
+                raise ValueError(f"link {index} has {len(lk.symbols)} entries, expected {self.M}")
             key = (lk.sender, lk.receiver)
             if prev is not None and key <= prev:
-                raise ValueError("links must be strictly sorted by (sender, receiver)")
+                raise ValueError(f"link {index} not strictly after link {index - 1} by (sender, receiver)")
             prev = key
 
     def link(self, sender: int, receiver: int) -> LinkTable:

@@ -126,15 +126,17 @@ def protocol_from_doc(doc: dict) -> Protocol:
     M = _integer(doc["M"], "M")
     if kind == "table":
         links = []
-        for entry in _list(doc["links"], "links"):
+        for index, entry in enumerate(_list(doc["links"], "links"), 1):
             entry = _object(entry, "link", "from", "to", "symbols")
-            links.append(LinkTable(
+            links.append(placed(
+                f"link {index}",
+                LinkTable,
                 _integer(entry["from"], "link endpoint"),
                 _integer(entry["to"], "link endpoint"),
                 tuple(_integer(sym, "symbol") for sym in _list(entry["symbols"], "symbols")),
                 _integer(entry.get("range", 0), "range"),
             ))
-        return TableProtocol(n, M, tuple(links))
+        return placed("table document", TableProtocol, n, M, tuple(links))
     steps = []
     for index, raw in enumerate(_list(doc["steps"], "steps"), 1):
         raw = _object(raw, "step", "from", "to", "table", "range")

@@ -4,26 +4,22 @@ Both problem flavours are decided over all M**n input vectors; sampling can
 never certify a universally quantified contract, so an instance whose input
 space exceeds the budget is refused outright.
 
-No path replays every vector one at a time. A general protocol is decided
-leaf by leaf over its transcript rectangles (`core.rectangles`): inside one,
-each node decides on its own input alone, so the smallest violation of a
-leaf takes one pass over its sets. Every reachable table and decision entry
+No path replays every vector one at a time. Both protocol kinds ask one
+search, `_smallest_join`, for the smallest non-constant input whose values
+come from per-node candidate sets. A table receiver raises its flag exactly
+when an incoming symbol differs from the one its own input would send, so a
+violation is such an input on which every checked link's two endpoints send
+the same symbol: the sets are narrowed along those links, as in generic join
+(Ngo, Porat, Re and Rudra, PODS 2012). A general protocol is decided leaf by
+leaf over its transcript rectangles (`core.rectangles`): inside one, each
+node decides on its own input alone, so the sets are the inputs no checked
+node flags and no link joins them. Every reachable table and decision entry
 is read, so a missing one raises MalformedProtocolError even where a
-smaller counterexample exists. A table protocol is decided by a
-lexicographic join search: a receiver raises its flag exactly when an
-incoming symbol differs from the one its own input would send, so a
-violation is a non-constant input on which every checked link's two
-endpoints send the same symbol. Such inputs are found node by node from
-per-link symbol buckets, as in generic join (Ngo, Porat, Re and Rudra, PODS
-2012), with forward checking (Haralick and Elliott, AIJ 1980): a value is
-kept only while every receiver it sends to still has an input left that
-matches all the symbols it has been sent, so no branch without a complete
-extension is entered.
+smaller counterexample exists.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .core import (
     GeneralProtocol,
@@ -44,8 +40,11 @@ class EnumerationBudgetError(Exception):
         self.n = n
         self.M = M
         self.budget = budget
-        self.required = M**n
-        super().__init__(f"{M}**{n} = {self.required} input vectors exceed budget {budget}")
+        super().__init__(f"{M}**{n} input vectors exceed budget {budget}")
+
+    @property
+    def required(self) -> int:
+        return self.M**self.n
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,13 @@ class Verdict:
 
     `vectors_checked` is the number of input vectors decided: M**n when `ok`,
     otherwise the counterexample's 1-based lexicographic rank, since every
-    lower-ranked vector was shown to satisfy the contract. Both search
-    paths decide vectors in bulk, by rectangle or by symbol bucket, so it
-    counts vectors decided, not vectors visited.
+    lower-ranked vector was shown to satisfy the contract. The join decides
+    vectors in bulk, by symbol bucket or by rectangle, so it counts vectors
+    decided, not vectors visited.
 
-    `nodes` is the work the search did: the partial assignments the join
-    search made for a table protocol, the transcript leaves read for a
-    general one. It takes no part in equality, so two verdicts are equal
-    when they decide the same.
+    `nodes` is the work the search did: the join's partial assignments for a
+    table protocol, the transcript leaves read for a general one. It takes
+    no part in equality, so two verdicts are equal when they decide the same.
     """
 
     ok: bool
@@ -76,7 +74,8 @@ class Verdict:
 
 
 def _check_budget(p: Protocol, budget: int) -> int:
-    total = p.M**p.n
+    # with M >= 2, M**k passes any budget below 2**k, so M**n is never built in full
+    total = p.M ** min(p.n, budget.bit_length() + 1)
     if total > budget:
         raise EnumerationBudgetError(p.n, p.M, budget)
     return total
@@ -90,16 +89,37 @@ def _rank(values: tuple[int, ...], M: int) -> int:
     return rank + 1
 
 
-def _first_nonconstant(n: int, candidates, state=None) -> tuple[tuple[int, ...] | None, int]:
-    """The first non-constant vector of a depth-first search, or None if
-    there is none, and the number of partial assignments made on the way.
+def _smallest_join(M: int, outgoing, domains) -> tuple[tuple[int, ...] | None, int]:
+    """The lexicographically smallest non-constant input whose value x_j
+    lies in domains[j] (None for all of 1..M, a set where a link leads) and
+    agrees along every link, or None; and the number of partial assignments
+    made.
 
-    ``candidates(j, state)`` gives node j's values in ascending order, each
-    paired with the state that node j+1's candidates take; `state` is node
-    1's. Complete vectors appear in lexicographic order, so the vector found
-    is the smallest one."""
+    outgoing[j] lists pairs (r, agreeing) with r > j: agreeing[x-1] holds
+    node r's inputs that agree with node j holding x. Nodes are assigned
+    depth first in order 1..n, each trying its domain in ascending order, so
+    complete assignments appear in lexicographic order and at most M
+    constant ones come before the answer. With forward checking (Haralick
+    and Elliott, AIJ 1980), a value is dropped when it would empty the
+    domain of a node it links to, since it then has no complete extension;
+    a kept one passes on the narrowed domains, each the intersection of one
+    agreeing set per assigned sender.
+    """
+    n = len(domains)
+
+    def candidates(j: int, domains):
+        for x in range(1, M + 1) if domains[j] is None else sorted(domains[j]):
+            narrowed = list(domains)
+            for r, agreeing in outgoing[j]:
+                domain = agreeing[x - 1] if narrowed[r] is None else narrowed[r] & agreeing[x - 1]
+                if not domain:
+                    break
+                narrowed[r] = domain
+            else:
+                yield x, narrowed
+
     values = [0] * n
-    stack = [iter(candidates(0, state))]
+    stack = [candidates(0, domains)]
     nodes = 0
     while stack:
         pair = next(stack[-1], None)
@@ -107,10 +127,10 @@ def _first_nonconstant(n: int, candidates, state=None) -> tuple[tuple[int, ...] 
             stack.pop()
             continue
         depth = len(stack)
-        values[depth - 1], state = pair
+        values[depth - 1], narrowed = pair
         nodes += 1
         if depth < n:
-            stack.append(iter(candidates(depth, state)))
+            stack.append(candidates(depth, narrowed))
         elif values.count(values[0]) < n:
             return tuple(values), nodes
     return None, nodes
@@ -125,9 +145,9 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[tuple[int, ...] | 
     on its own input alone. Let Z_i hold the inputs in S_i on which node i
     raises no checked flag. A violation there is a constant input in every
     S_i that some checked node flags, or a non-constant vector of the
-    product of the Z_i; the smallest over all leaves is the answer. Every
-    leaf is read, so a missing reachable entry raises
-    MalformedProtocolError whatever the verdict.
+    product of the Z_i, the join over the Z_i with no links; the smallest
+    over all leaves is the answer. Every leaf is read, so a missing
+    reachable entry raises MalformedProtocolError whatever the verdict.
     """
     best, leaves = None, 0
     for sets, bits in decided_rectangles(p):
@@ -140,11 +160,9 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[tuple[int, ...] | 
             else:
                 zs.append(xs)
         constant = min(raised.intersection(*sets), default=None)
-        # an empty Z_i leaves nothing to find, and would send the search through
+        # an empty Z_i leaves nothing to find, and would send the join through
         # every choice before it; with none empty it passes one constant vector at most
-        unflagged = None
-        if all(zs):
-            unflagged, _ = _first_nonconstant(p.n, lambda j, _: zip(zs[j], repeat(None)))
+        unflagged = _smallest_join(p.M, [()] * p.n, zs)[0] if all(zs) else None
         for values in (unflagged, constant and (constant,) * p.n):
             if values and (best is None or values < best):
                 best = values
@@ -154,43 +172,19 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[tuple[int, ...] | 
 def _agreeing_input(t: TableProtocol, links) -> tuple[tuple[int, ...] | None, int]:
     """Lexicographically smallest non-constant input on which every link in
     `links` carries the symbol its receiver's own input would send, or None;
-    and the number of partial assignments made.
-
-    Nodes are assigned depth first in order 1..n, and links point from lower
-    to higher ids, so every sender is assigned before its receiver. Each
-    receiver keeps a domain: the inputs that agree with the symbols of all
-    its assigned senders, the intersection of one bucket per link (None
-    while it has been sent nothing, so all of 1..M). A node's candidates are
-    its sorted domain. A candidate is dropped when it would empty the domain
-    of a node it sends to, since it then has no complete extension; a kept
-    one passes the narrowed domains on. Candidates are tried in ascending
-    order, so complete assignments appear in lexicographic order and the
-    first non-constant one is the smallest; at most M constant ones come
-    before it.
-    """
+    and the number of partial assignments made. Links point from lower to
+    higher ids, and a receiver's inputs that agree with a sender input are
+    the bucket of the symbol it sends."""
     outgoing = [[] for _ in range(t.n)]
     for lk in links:
         buckets = {}
         for x, sym in enumerate(lk.symbols, 1):
             buckets.setdefault(sym, set()).add(x)
         outgoing[lk.sender - 1].append((lk.receiver - 1, [buckets[sym] for sym in lk.symbols]))
-    every = range(1, t.M + 1)
-
-    def candidates(j: int, domains):
-        for x in every if domains[j] is None else sorted(domains[j]):
-            narrowed = list(domains)
-            for r, agreeing in outgoing[j]:
-                domain = agreeing[x - 1] if narrowed[r] is None else narrowed[r] & agreeing[x - 1]
-                if not domain:
-                    break
-                narrowed[r] = domain
-            else:
-                yield x, narrowed
-
-    return _first_nonconstant(t.n, candidates, [None] * t.n)
+    return _smallest_join(t.M, outgoing, [None] * t.n)
 
 
-def _decide(p: Protocol, checked: set[int], total: int) -> Verdict:
+def _decide(p: Protocol, total: int, checked: set[int]) -> Verdict:
     if isinstance(p, TableProtocol):
         values, nodes = _agreeing_input(p, [lk for lk in p.links if lk.receiver in checked])
     else:
@@ -205,7 +199,7 @@ def verify_ad(p: Protocol, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     ok iff for every input vector: (all decisions 0) <=> (all inputs equal).
     """
-    return _decide(p, set(range(1, p.n + 1)), _check_budget(p, budget))
+    return _decide(p, _check_budget(p, budget), set(range(1, p.n + 1)))
 
 
 def verify_cd(p: Protocol, detector: int | None = None, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -216,7 +210,7 @@ def verify_cd(p: Protocol, detector: int | None = None, budget: int = DEFAULT_BU
     node = p.n if detector is None else detector
     if not 1 <= node <= p.n:
         raise ValueError(f"detector {node} outside 1..{p.n}")
-    return _decide(p, {node}, _check_budget(p, budget))
+    return _decide(p, _check_budget(p, budget), {node})
 
 
 def fooling_lower_bound(n: int, M: int) -> float:

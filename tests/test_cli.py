@@ -237,3 +237,46 @@ def test_range_error_names_the_step(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["verify", "--ad", str(path)]) == 1
     assert capsys.readouterr().err == "error: step 3: symbol 3 outside 1..2\n"
+
+
+def _skip_symbol(doc):
+    doc["links"][1]["symbols"][1] = 5
+
+
+def _short_link(doc):
+    doc["links"][2]["symbols"].pop()
+
+
+def _link_endpoint(doc):
+    doc["links"][2]["to"] = 4
+
+
+def _step_endpoint(doc):
+    doc["steps"][2]["to"] = 4
+
+
+@pytest.mark.parametrize(
+    "general, edit, message",
+    [
+        (False, _skip_symbol, "link 2: symbols [1, 2, 3, 5] are not a dense 1..5 range"),
+        (False, _short_link, "table document: link 3 has 5 entries, expected 6"),
+        (False, _link_endpoint, "table document: link 3 endpoint outside 1..3"),
+        (True, _step_endpoint, "general document: step 3: node 4 outside 1..3"),
+    ],
+    ids=["skip_symbol", "short_link", "link_endpoint", "step_endpoint"],
+)
+def test_document_errors_name_the_link_or_step(tmp_path, capsys, general, edit, message):
+    path = tmp_path / "p.json"
+    save_protocol(table_to_general(table36()) if general else table36(), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_budget_refusal_never_builds_the_space(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "table", "n": 20000, "M": 2, "links": []}), encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 3
+    assert capsys.readouterr().err == "budget exceeded: 2**20000 input vectors exceed budget 100000000\n"

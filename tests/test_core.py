@@ -233,12 +233,12 @@ def test_materialize_rejects_override_below_realized():
         (lambda: Step(1, 2, {}, 0), "range_size must be positive"),
         (lambda: Step(1, 2, {1: 1}, 1), "table key 1 is not (input, history)"),
         (lambda: Step(1, 2, {(1, ()): 2}, 1), "symbol 2 outside 1..1"),
-        (lambda: GeneralProtocol(2, 2, (Step(1, 3, {}, 1),)), "node 3 outside 1..2"),
+        (lambda: GeneralProtocol(2, 2, (Step(1, 3, {}, 1),)), "step 1: node 3 outside 1..2"),
         (lambda: GeneralProtocol(2, 2, (), {3: {}}), "decision node 3 outside 1..2"),
         (lambda: GeneralProtocol(2, 2, (), {2: {(1, ()): 2}}), "decision 2 for node 2 is not a bit"),
         (lambda: LinkTable(2, 2, (1,)), "sender and receiver must differ"),
         (lambda: LinkTable(1, 2, ()), "empty symbol table"),
-        (lambda: TableProtocol(2, 1, (LinkTable(1, 3, (1,)),)), "link endpoint outside node range"),
+        (lambda: TableProtocol(2, 1, (LinkTable(1, 3, (1,)),)), "link 1 endpoint outside 1..2"),
     ],
 )
 def test_constructor_rejects(build, message):

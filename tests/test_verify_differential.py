@@ -5,6 +5,7 @@ their transcript rectangles; both must return exactly the oracle's Verdict,
 including the counterexample's decisions and rank.
 """
 
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,8 @@ from meqlab import (
     verify_ad,
     verify_cd,
 )
+
+from meqlab.verify import _smallest_join
 
 from conftest import brute_force_verdicts, random_correct_protocol
 
@@ -229,3 +232,42 @@ def general_protocols(draw):
 @given(general_protocols())
 def test_random_general_protocols_match_brute_force(p):
     assert_matches_oracle(p)
+
+
+def join_oracle(M, outgoing, domains):
+    """The first non-constant vector of the product of the domains that
+    agrees along every link, by plain enumeration."""
+    every = range(1, M + 1)
+    for v in itertools.product(*(every if d is None else sorted(d) for d in domains)):
+        if len(set(v)) > 1 and all(
+            v[r] in agreeing[v[j] - 1] for j, links in enumerate(outgoing) for r, agreeing in links
+        ):
+            return v
+    return None
+
+
+@st.composite
+def joins(draw):
+    n = draw(st.integers(1, 4))
+    M = draw(st.integers(1, 5))
+    values = st.sets(st.integers(1, M))
+    domains = [draw(st.none() | values) for _ in range(n)]
+    outgoing = [
+        [(r, [draw(values) for _ in range(M)]) for r in range(j + 1, n) if draw(st.booleans())]
+        for j in range(n)
+    ]
+    return M, outgoing, domains
+
+
+@settings(max_examples=300, deadline=None)
+@given(joins())
+def test_join_matches_product_oracle(join):
+    assert _smallest_join(*join)[0] == join_oracle(*join)
+
+
+@pytest.mark.parametrize(
+    "domains, smallest",
+    [([[1], [1, 2], [1]], (1, 2, 1)), ([[1, 3], [1]], (3, 1)), ([[2], [2], [2]], None)],
+)
+def test_join_without_links(domains, smallest):
+    assert _smallest_join(3, [()] * len(domains), domains)[0] == smallest
