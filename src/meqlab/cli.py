@@ -17,7 +17,6 @@ from .core import (
     TableProtocol,
     complexity,
     simulate,
-    table_to_general,
 )
 from .verify import DEFAULT_BUDGET, EnumerationBudgetError, verify_ad, verify_cd
 
@@ -95,8 +94,7 @@ def _cmd_build(args) -> int:
     elif args.what == "par6h":
         if args.h < 1:
             raise ValueError("h must be at least 1")
-        mapping = constructions.VectorMapping.radix(6**args.h, 6, args.h)
-        p = constructions.parallel_compose(constructions.table36(), mapping)
+        p = constructions.parallel_compose(constructions.table36(), 6**args.h)
     elif args.what == "bin2k":
         p = constructions.meq3_2k(args.k)
     else:
@@ -136,8 +134,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_transform(args) -> int:
     p = serial.load_protocol(args.file)
-    if isinstance(p, TableProtocol):
-        p = table_to_general(p)
     if args.iid:
         out = transforms.make_iid(p)
     else:

@@ -8,7 +8,8 @@ crossover against the 2k-bit baseline live here too, as does the wrapper
 that turns any anyone-detects protocol into a centralized-detect one.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import islice, product
 
 from .core import (
     GeneralProtocol,
@@ -64,40 +65,6 @@ def extended_table(h: int) -> TableProtocol:
     ))
 
 
-@dataclass(frozen=True)
-class VectorMapping:
-    """Injective encoding of the inputs 1..M as length-h digit vectors.
-
-    ``digits[x-1]`` is the big-endian base-`base` expansion of x-1, each
-    digit plus one. Injectivity is what lets per-coordinate equality checks
-    decide equality of the original values.
-    """
-
-    M: int
-    h: int
-    base: int
-    digits: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base {self.base} is below 2")
-        if self.base**self.h < self.M:
-            raise ValueError(f"{self.base}**{self.h} cannot hold {self.M} values")
-        digits = []
-        for x in range(self.M):
-            vec = []
-            for _ in range(self.h):
-                vec.append(x % self.base + 1)
-                x //= self.base
-            digits.append(tuple(reversed(vec)))
-        object.__setattr__(self, "digits", tuple(digits))
-
-    @classmethod
-    def radix(cls, M: int, base: int, h: int | None = None) -> "VectorMapping":
-        """The mapping with h digits, by default the fewest that hold M values."""
-        return cls(M, least_exponent(base, M) if h is None else h, base)
-
-
 def least_exponent(base: int, value: int) -> int:
     """Smallest e >= 0 with base**e >= value, by integer comparison."""
     if base < 2 or value < 1:
@@ -109,22 +76,24 @@ def least_exponent(base: int, value: int) -> int:
     return e
 
 
-def parallel_compose(base: TableProtocol, mapping: VectorMapping) -> TableProtocol:
-    """Run one instance of `base` per digit position, bundling each link's
-    per-digit symbols into a single combined symbol.
+def parallel_compose(base: TableProtocol, M: int) -> TableProtocol:
+    """Run one instance of `base` per digit of the inputs 1..M, bundling each
+    link's per-digit symbols into a single combined symbol.
 
-    Requires the mapping's digits to be inputs of `base`; the combined
-    ranges are tightened, so the cost never exceeds h times the base cost.
+    Input x is the big-endian base-`base.M` expansion of x-1, each digit plus
+    one, over h = least_exponent(base.M, M) digits. The encoding is injective,
+    which is what lets per-digit equality checks decide equality of the
+    original values. The combined ranges are tightened, so the cost never
+    exceeds h times the base cost.
     """
-    if mapping.base > base.M:
-        raise ValueError(f"digits run to {mapping.base} but base protocol holds {base.M} values")
+    h = least_exponent(base.M, M)
+    # product runs over table positions, so its first M tuples are the
+    # link's symbols on the digit vectors of 1..M in order
     links = [
-        dense_link(lk.sender, lk.receiver, [
-            tuple(lk.symbols[d - 1] for d in digits) for digits in mapping.digits
-        ])
+        dense_link(lk.sender, lk.receiver, list(islice(product(lk.symbols, repeat=h), M)))
         for lk in base.links
     ]
-    return TableProtocol(base.n, mapping.M, tuple(links))
+    return TableProtocol(base.n, M, tuple(links))
 
 
 def meq3_2k(k: int) -> TableProtocol:
@@ -137,13 +106,9 @@ def meq3_2k(k: int) -> TableProtocol:
     Every link declares the full 2**b range (the word is transmitted bit by
     bit), so the cost is exactly 3b bits.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    M = 2**k
-    h = least_exponent(6, M)
-    b = least_exponent(2, 3**h)
-    composed = parallel_compose(table36(), VectorMapping.radix(M, 6, h))
-    return TableProtocol(3, M, tuple(replace(lk, range_size=2**b) for lk in composed.links))
+    b = complexity_formula_2k(k) // 3
+    composed = parallel_compose(table36(), 2**k)
+    return replace(composed, links=[replace(lk, range_size=2**b) for lk in composed.links])
 
 
 def complexity_formula_2k(k: int) -> int:
@@ -194,6 +159,8 @@ def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtoco
     exactly n-2 extra bits. Rejects a base that fails the anyone-detects
     check.
     """
+    if not isinstance(p, TableProtocol):
+        raise ValueError("cd_wrapper expects a table-kind protocol")
     verdict = verify_ad(p, budget)
     if not verdict.ok:
         raise ValueError(

@@ -399,6 +399,8 @@ def table_to_general(t: TableProtocol) -> GeneralProtocol:
     symbol differs from the one expected for their own input, and nodes with
     no incoming link decide 0.
     """
+    if not isinstance(t, TableProtocol):
+        raise ValueError("table_to_general expects a table-kind protocol")
     return materialize(t.n, t.M, *rules(t), link_ranges(t))
 
 

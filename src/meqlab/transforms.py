@@ -20,6 +20,7 @@ from .core import (
     dense_link,
     materialize,
     simulate,
+    table_to_general,
 )
 
 
@@ -31,7 +32,7 @@ def expected_symbol(p: Protocol, step_index: int, x: int) -> int:
     return simulate(p, (x,) * p.n).symbols[step_index - 1]
 
 
-def flip_step(p: GeneralProtocol, step_index: int) -> GeneralProtocol:
+def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
     """Reverse the direction of one step, preserving correctness.
 
     The reversed step l now runs from the old receiver R to the old sender T
@@ -41,11 +42,13 @@ def flip_step(p: GeneralProtocol, step_index: int) -> GeneralProtocol:
     expectation differs from what T would have sent. All ranges are
     recomputed afterward.
 
-    p is checked for missing reachable entries first (MalformedProtocolError).
+    A table protocol is expanded with `table_to_general` first. p is then
+    checked for missing reachable entries (MalformedProtocolError).
     After that, a p-history the rules cannot look up arises only on inputs
     where T flags: those are not all equal, so the smallest symbol of the
     step, or decision 1, keeps the protocol correct there.
     """
+    p = table_to_general(p) if isinstance(p, TableProtocol) else p
     if not 1 <= step_index <= len(p.steps):
         raise ValueError(f"step index {step_index} outside 1..{len(p.steps)}")
     check_entries(p)
@@ -82,7 +85,7 @@ def flip_step(p: GeneralProtocol, step_index: int) -> GeneralProtocol:
     return materialize(p.n, p.M, schedule, send, decide)
 
 
-def make_iid(p: GeneralProtocol) -> TableProtocol:
+def make_iid(p: Protocol) -> TableProtocol:
     """Normalize to expected-symbol-per-link form.
 
     Each step's symbol is fixed to its expected value for the sender's own
@@ -94,10 +97,11 @@ def make_iid(p: GeneralProtocol) -> TableProtocol:
     values. Receivers detect by comparing arrivals against their own
     expectations, which is exactly the TableProtocol semantics.
 
-    One walk over p's transcript rectangles comes first, so a protocol
-    missing a reachable table or decision entry raises
-    MalformedProtocolError.
+    A table protocol is expanded with `table_to_general` first. Then one
+    walk over p's transcript rectangles checks it, so a protocol missing a
+    reachable table or decision entry raises MalformedProtocolError.
     """
+    p = table_to_general(p) if isinstance(p, TableProtocol) else p
     check_entries(p)
     runs = [simulate(p, (x,) * p.n).symbols for x in range(1, p.M + 1)]
 

@@ -11,6 +11,7 @@ from meqlab import (
     Verdict,
     conflict_pairs,
     simulate,
+    star_protocol,
 )
 
 
@@ -51,6 +52,20 @@ def random_correct_protocol(rng: random.Random, M: int) -> TableProtocol:
         LinkTable(1, 2, ab),
         LinkTable(1, 3, ac),
         LinkTable(2, 3, bc),
+    ))
+
+
+STAR_SIZES = {3: 8, 4: 6, 5: 4}
+
+
+def relabelled_star(n: int, rng: random.Random) -> TableProtocol:
+    """star_protocol(n, M) with its inputs renamed by a seeded permutation:
+    input x sends what input perm[x-1] sent."""
+    star = star_protocol(n, STAR_SIZES[n])
+    perm = rng.sample(range(1, star.M + 1), star.M)
+    return TableProtocol(n, star.M, tuple(
+        LinkTable(lk.sender, lk.receiver, tuple(lk.symbols[y - 1] for y in perm))
+        for lk in star.links
     ))
 
 

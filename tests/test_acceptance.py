@@ -10,7 +10,6 @@ import random
 import time
 
 from meqlab import (
-    VectorMapping,
     cd_wrapper,
     complexity,
     complexity_formula_2k,
@@ -95,7 +94,7 @@ def test_criterion_3_crossover():
 
 def test_criterion_4_ordering_chain_at_36():
     def body():
-        parallel = parallel_compose(table36(), VectorMapping.radix(36, 6, 2))
+        parallel = parallel_compose(table36(), 36)
         extended = extended_table(2)
         star = star_protocol(3, 36)
         products = tuple(complexity(p).product for p in (parallel, extended, star))
@@ -183,7 +182,7 @@ def test_criterion_8_bound_sandwich():
         economical = [
             table36(),
             extended_table(2),
-            parallel_compose(table36(), VectorMapping.radix(36, 6, 2)),
+            parallel_compose(table36(), 36),
             protocol_from_coloring(optimal_search(4).witness),
             protocol_from_coloring(optimal_search(6).witness),
         ]

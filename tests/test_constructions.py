@@ -4,7 +4,6 @@ import math
 import pytest
 
 from meqlab import (
-    VectorMapping,
     cd_wrapper,
     complexity,
     complexity_formula_2k,
@@ -60,32 +59,38 @@ def test_extended_table_rejects_bad_h():
         extended_table(0)
 
 
+def two_digit_ranks(symbols, M):
+    """Rank of the base symbols on the two base-6 digits of each x in 1..M:
+    the big-endian expansion of x-1, each digit plus one."""
+    pairs = [(symbols[(x - 1) // 6], symbols[(x - 1) % 6]) for x in range(1, M + 1)]
+    rank = {pair: r for r, pair in enumerate(sorted(set(pairs)), 1)}
+    return tuple(rank[pair] for pair in pairs)
+
+
 def test_radix_mapping():
-    m = VectorMapping.radix(36, 6, 2)
-    assert m.digits[0] == (1, 1)
-    assert m.digits[6] == (2, 1)
-    assert m.digits[35] == (6, 6)
-    # decode: digits are the big-endian base-6 expansion of x-1
-    for x in range(1, 37):
-        d = m.digits[x - 1]
-        assert (d[0] - 1) * 6 + (d[1] - 1) == x - 1
+    t, composed = table36(), parallel_compose(table36(), 36)
+    for lk, combined in zip(t.links, composed.links):
+        assert combined.symbols == two_digit_ranks(lk.symbols, 36)
+    # table36 separates all six digits on its first two links, so the
+    # combined symbols there decode every x
+    decoded = {(composed.links[0].symbols[x - 1], composed.links[1].symbols[x - 1]) for x in range(1, 37)}
+    assert len(decoded) == 36
 
 
 def test_radix_mapping_height_inferred():
-    m = VectorMapping.radix(16, 6)
-    assert m.h == 2
-    assert len(set(m.digits)) == 16
+    # 6 < 16 <= 36: two base-6 digits
+    composed = parallel_compose(table36(), 16)
+    assert composed.M == 16
+    for lk, combined in zip(table36().links, composed.links):
+        assert combined.symbols == two_digit_ranks(lk.symbols, 16)
+    assert verify_ad(composed).ok
 
 
 def test_mapping_rejects_bad_input():
-    with pytest.raises(ValueError):
-        VectorMapping.radix(37, 6, 2)
-    with pytest.raises(ValueError):
-        VectorMapping(36, 1, 6)  # one base-6 digit holds six values
-    with pytest.raises(ValueError):
-        VectorMapping.radix(6, 1)  # base below 2
-    with pytest.raises(ValueError, match="base 1 is below 2"):
-        VectorMapping(6, 6, 1)
+    with pytest.raises(ValueError, match="need base >= 2 and value >= 1"):
+        parallel_compose(star_protocol(3, 1), 4)  # a one-value base has no digits
+    with pytest.raises(ValueError, match="need base >= 2 and value >= 1"):
+        parallel_compose(table36(), 0)
 
 
 @pytest.mark.parametrize("build", [meq3_2k, complexity_formula_2k])
@@ -95,23 +100,26 @@ def test_binary_construction_rejects_k_below_one(build):
 
 
 def test_parallel_compose_h1_is_base():
-    assert parallel_compose(table36(), VectorMapping.radix(6, 6, 1)) == table36()
+    assert parallel_compose(table36(), 6) == table36()
 
 
 def test_parallel_compose_h2():
-    composed = parallel_compose(table36(), VectorMapping.radix(36, 6, 2))
+    composed = parallel_compose(table36(), 36)
     assert complexity(composed).product == 729
     assert complexity(composed).bits == pytest.approx(2 * math.log2(27), abs=1e-12)
     assert verify_ad(composed).ok
 
 
-def test_parallel_compose_rejects_oversized_digits():
-    with pytest.raises(ValueError):
-        parallel_compose(star_protocol(3, 3), VectorMapping.radix(16, 6, 2))
+def test_parallel_compose_over_base_three_digits():
+    # three base-3 digits hold 16 values; the identity links rank the digit
+    # vectors in input order, so the composition is the 16-value star
+    composed = parallel_compose(star_protocol(3, 3), 16)
+    assert composed == star_protocol(3, 16)
+    assert verify_ad(composed).ok
 
 
 def test_ordering_chain_at_36():
-    parallel = complexity(parallel_compose(table36(), VectorMapping.radix(36, 6, 2)))
+    parallel = complexity(parallel_compose(table36(), 36))
     extended = complexity(extended_table(2))
     star = complexity(star_protocol(3, 36))
     assert parallel.product < extended.product < star.product
@@ -210,6 +218,6 @@ def test_cd_wrapper_rejects_incorrect_base():
 def test_first_node_never_detects():
     # node 1 has no incoming link in any construction here, so its decision
     # is 0 everywhere; that is why the centralized wrapper skips it
-    for p in (table36(), meq3_2k(2), parallel_compose(table36(), VectorMapping.radix(36, 6, 2))):
+    for p in (table36(), meq3_2k(2), parallel_compose(table36(), 36)):
         for v in itertools.product(range(1, p.M + 1), repeat=3):
             assert simulate(p, v).decisions[0] == 0

@@ -11,7 +11,6 @@ from meqlab import (
     LinkTable,
     MalformedProtocolError,
     TableProtocol,
-    VectorMapping,
     cd_wrapper,
     complexity,
     expected_symbol,
@@ -29,7 +28,7 @@ from meqlab import (
 from meqlab.core import materialize
 from meqlab.serial import dumps
 
-from conftest import random_correct_protocol
+from conftest import STAR_SIZES, random_correct_protocol, relabelled_star
 
 
 def test_expected_symbol_third_link():
@@ -113,6 +112,29 @@ def test_double_flip_keeps_cost_and_correctness():
     assert complexity(twice).product == complexity(g).product
 
 
+TABLES = {
+    "table36": table36(),
+    "bin2k-3": meq3_2k(3),
+    **{f"star-{n}": relabelled_star(n, random.Random(n)) for n in sorted(STAR_SIZES)},
+}
+
+
+@pytest.mark.parametrize("t", TABLES.values(), ids=TABLES.keys())
+def test_rewrites_expand_a_table_protocol(t):
+    g = table_to_general(t)
+    assert make_iid(t) == make_iid(g)
+    for index in range(1, len(t.links) + 1):
+        assert flip_step(t, index) == flip_step(g, index)
+
+
+def test_table_builders_reject_a_general_protocol():
+    g = table_to_general(table36())
+    with pytest.raises(ValueError, match="table_to_general expects a table-kind protocol"):
+        table_to_general(g)
+    with pytest.raises(ValueError, match="cd_wrapper expects a table-kind protocol"):
+        cd_wrapper(g)
+
+
 def test_make_iid_of_star_is_identity():
     assert make_iid(table_to_general(star_protocol(3, 6))) == star_protocol(3, 6)
 
@@ -185,7 +207,7 @@ def _g():
         (lambda k=6: meq3_2k(k), "a98e207666263c178bcdb6eeb8e66f521a029133f1c35e149fc3b4da044b4144"),
         (lambda k=7: meq3_2k(k), "432ac1afaa55f3d5d90bed0b1ae268e4203ef4b688bd27d3840a6c6cf2503189"),
         (lambda k=8: meq3_2k(k), "2397b59fd0b9538d4ddc83789f6b25ee5de67fa6763f09d5eed5d98958b4bc64"),
-        (lambda: parallel_compose(table36(), VectorMapping.radix(36, 6, 2)),
+        (lambda: parallel_compose(table36(), 36),
          "7878a63c5df10876c0cb1ee4518d8ec6c9d97ffe6798c71f2c33ae017f8330d5"),
     ],
 )

@@ -17,7 +17,6 @@ from meqlab import (
     LinkTable,
     Step,
     TableProtocol,
-    VectorMapping,
     Verdict,
     cd_wrapper,
     conflict_pairs,
@@ -35,7 +34,7 @@ from meqlab import (
 
 from meqlab.verify import _smallest_join
 
-from conftest import brute_force_verdicts, random_correct_protocol
+from conftest import STAR_SIZES, brute_force_verdicts, random_correct_protocol, relabelled_star
 
 
 def assert_matches_oracle(p):
@@ -102,20 +101,6 @@ def test_silent_nodes_match_brute_force(p):
     assert_matches_oracle(p)
 
 
-STAR_SIZES = {3: 8, 4: 6, 5: 4}
-
-
-def relabelled_star(n: int, rng: random.Random) -> TableProtocol:
-    """star_protocol(n, M) with its inputs renamed by a seeded permutation:
-    input x sends what input perm[x-1] sent."""
-    star = star_protocol(n, STAR_SIZES[n])
-    perm = rng.sample(range(1, star.M + 1), star.M)
-    return TableProtocol(n, star.M, tuple(
-        LinkTable(lk.sender, lk.receiver, tuple(lk.symbols[y - 1] for y in perm))
-        for lk in star.links
-    ))
-
-
 @pytest.mark.parametrize("n", sorted(STAR_SIZES))
 def test_relabelled_stars_match_brute_force(n):
     p = relabelled_star(n, random.Random(n))
@@ -157,7 +142,7 @@ STOCK = {
     "ext6h-2": extended_table(2),
     "star-4-6": star_protocol(4, 6),
     "bin2k-4": meq3_2k(4),
-    "par6h-2": parallel_compose(table36(), VectorMapping.radix(36, 6, 2)),
+    "par6h-2": parallel_compose(table36(), 36),
     "cdwrap-table36": cd_wrapper(table36()),
     **{f"table36-merge-{i}": p for i, p in enumerate(table36_conflict_merges(), 1)},
 }
@@ -175,6 +160,31 @@ def test_merges_fail_on_both_paths():
         verdict = verify_ad(p)
         assert not verdict.ok
         assert verify_ad(table_to_general(p)) == verdict
+
+
+@st.composite
+def composition_bases(draw):
+    """A random correct three-node base with 2 to 4 values, or, flagged
+    True, the same base with the third link's symbols of one conflict pair
+    merged, which breaks its strong colouring."""
+    base = random_correct_protocol(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 4)))
+    pairs = sorted(conflict_pairs(to_bipartite(base)))
+    if not pairs or not draw(st.booleans()):
+        return base, False
+    x, y = draw(st.sampled_from(pairs))
+    ab, ac, bc = base.links
+    merged = list(bc.symbols)
+    merged[y - 1] = merged[x - 1]
+    return TableProtocol(3, base.M, (ab, ac, LinkTable(2, 3, dense(merged)))), True
+
+
+@settings(max_examples=60, deadline=None)
+@given(composition_bases(), st.integers(1, 16))
+def test_compositions_of_random_bases_match_brute_force(drawn, M):
+    base, merged = drawn
+    assert verify_ad(base).ok is not merged
+    assert parallel_compose(base, base.M) == base
+    assert_matches_oracle(parallel_compose(base, M))
 
 
 def test_protocol_without_links():
