@@ -7,7 +7,8 @@ Correctness forces the edges to be distinct (else two values are
 indistinguishable to both receivers) and forces the 2->3 table to separate
 any two edges within distance two of each other, i.e. to be a strong edge
 coloring. Searching all small graphs and color counts therefore computes
-the exact optimal cost for three nodes.
+the exact optimal cost for three nodes. The coloring solver is the
+forward-checking join that `verify` decides table protocols with.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import TableProtocol, check_size, dense_link
-from .verify import verify_ad
+from .verify import _smallest_join, verify_ad
 
 
 class EdgeCollisionError(ValueError):
@@ -115,36 +116,28 @@ class ColoringInstance:
 
 
 def strong_edge_color(g: BipartiteRep, W_size: int) -> ColoringInstance | None:
-    """Exhaustive backtracking search for a distance-2 edge coloring.
+    """The lexicographically smallest distance-2 edge coloring with colors
+    1..W_size, or None when there is none.
 
-    Edges are colored in label order, colors tried ascending and capped at
-    one beyond the count already in use (sound, since color classes are
-    interchangeable). Returns the first coloring found, which makes the
-    witness deterministic, or None once the space is exhausted."""
+    It is `verify`'s join with edges as positions and colors as values: a
+    conflict pair (x, y) links x to y, agreeing on every color but x's. Edge
+    x may take only colors 1..x: renaming color classes in order of first
+    use keeps a coloring valid and never raises a color, so the smallest
+    coloring puts none above x on edge x. The join skips constant inputs,
+    so a graph with no conflict pair gets the all-ones coloring directly."""
     if W_size < 1:
         raise ValueError("W_size must be positive")
-    conflicts = {x: set() for x in range(1, g.M + 1)}
-    for x, y in conflict_pairs(g):
-        conflicts[x].add(y)
-        conflicts[y].add(x)
-    colors = [0] * g.M
-
-    def assign(x: int, used: int) -> bool:
-        if x > g.M:
-            return True
-        taken = {colors[y - 1] for y in conflicts[x]}
-        for c in range(1, min(W_size, used + 1) + 1):
-            if c in taken:
-                continue
-            colors[x - 1] = c
-            if assign(x + 1, max(used, c)):
-                return True
-        colors[x - 1] = 0
-        return False
-
-    if assign(1, 0):
-        return ColoringInstance(g, tuple(colors))
-    return None
+    pairs = conflict_pairs(g)
+    if not pairs:
+        return ColoringInstance(g, (1,) * g.M)
+    W = min(W_size, g.M)
+    others = [set(range(1, W + 1)) - {c} for c in range(1, W + 1)]
+    outgoing = [[] for _ in range(g.M)]
+    for x, y in pairs:
+        outgoing[x - 1].append((y - 1, others))
+    domains = [set(range(1, min(W, x) + 1)) for x in range(1, g.M + 1)]
+    colors = _smallest_join(W, outgoing, domains)[0]
+    return None if colors is None else ColoringInstance(g, colors)
 
 
 def protocol_from_coloring(inst: ColoringInstance) -> TableProtocol:

@@ -86,6 +86,8 @@ def parallel_compose(base: TableProtocol, M: int) -> TableProtocol:
     original values. The combined ranges are tightened, so the cost never
     exceeds h times the base cost.
     """
+    if not isinstance(base, TableProtocol):
+        raise ValueError("parallel_compose expects a table-kind protocol")
     h = least_exponent(base.M, M)
     # product runs over table positions, so its first M tuples are the
     # link's symbols on the digit vectors of 1..M in order

@@ -4,8 +4,9 @@ A protocol runs on n nodes, each holding a private value in 1..M. It is a
 finite, fixed schedule of point-to-point transmissions; every transmitted
 symbol is a small positive integer read from a lookup table, and every node
 ends with a one-bit decision (0 = "inputs may all be equal", 1 = "mismatch
-seen"). All types are immutable after construction and all operations are
-pure, so everything here is safe to share across threads.
+seen"). All operations are pure. The types are frozen after construction,
+except that `Step.table` and `GeneralProtocol.decisions` are plain dicts:
+nothing here writes to them after construction, but callers can.
 """
 
 import math

@@ -34,17 +34,15 @@ DEFAULT_BUDGET = 10**8
 
 
 class EnumerationBudgetError(Exception):
-    """The input space exceeds the enumeration budget; nothing was checked."""
+    """The input space, counted as max(M, 2)**n so that n is bounded even at
+    M=1, exceeds the enumeration budget; nothing was checked."""
 
     def __init__(self, n: int, M: int, budget: int):
         self.n = n
         self.M = M
         self.budget = budget
-        super().__init__(f"{M}**{n} input vectors exceed budget {budget}")
-
-    @property
-    def required(self) -> int:
-        return self.M**self.n
+        count = f"{M}**{n} input vectors" if M > 1 else f"2**{n} (n={n} nodes at M=1)"
+        super().__init__(f"{count} exceed budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,11 @@ class Verdict:
 
 
 def _check_budget(p: Protocol, budget: int) -> int:
-    # with M >= 2, M**k passes any budget below 2**k, so M**n is never built in full
-    total = p.M ** min(p.n, budget.bit_length() + 1)
-    if total > budget:
+    # counting 2**n at M=1 bounds n, which the search still pays for per node;
+    # m**k with m >= 2 passes any budget below 2**k, so m**n is never built in full
+    if max(p.M, 2) ** min(p.n, budget.bit_length() + 1) > budget:
         raise EnumerationBudgetError(p.n, p.M, budget)
-    return total
+    return p.M**p.n
 
 
 def _rank(values: tuple[int, ...], M: int) -> int:
@@ -103,7 +101,10 @@ def _smallest_join(M: int, outgoing, domains) -> tuple[tuple[int, ...] | None, i
     and Elliott, AIJ 1980), a value is dropped when it would empty the
     domain of a node it links to, since it then has no complete extension;
     a kept one passes on the narrowed domains, each the intersection of one
-    agreeing set per assigned sender.
+    agreeing set per assigned sender. `coloring.strong_edge_color` calls it
+    too, with a graph's edges as positions and colors as values: a conflict
+    pair links its lower edge to its higher one, agreeing on every color
+    but the sender's.
     """
     n = len(domains)
 

@@ -280,3 +280,12 @@ def test_budget_refusal_never_builds_the_space(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "table", "n": 20000, "M": 2, "links": []}), encoding="utf-8")
     assert run(["verify", "--ad", str(path)]) == 3
     assert capsys.readouterr().err == "budget exceeded: 2**20000 input vectors exceed budget 100000000\n"
+
+
+def test_budget_bounds_n_at_one_value(tmp_path, capsys):
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"kind": "table", "n": 10**7, "M": 1, "links": []}), encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: 2**10000000 (n=10000000 nodes at M=1) exceed budget 100000000\n"
+    )

@@ -170,6 +170,37 @@ def test_single_edge_one_color():
     assert inst is not None and inst.colors == (1,)
 
 
+@st.composite
+def small_graphs(draw):
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 4))
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    return BipartiteRep(a, b, tuple(draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_strong_coloring_is_the_smallest_by_product(g):
+    pairs = conflict_oracle(g)
+    for W in range(1, g.M + 2):
+        smallest = next(
+            (colors for colors in itertools.product(range(1, W + 1), repeat=g.M)
+             if all(colors[x - 1] != colors[y - 1] for x, y in pairs)),
+            None,
+        )
+        inst = strong_edge_color(g, W)
+        assert (inst and inst.colors) == smallest, W
+
+
+def test_strong_coloring_of_a_long_path():
+    # 1,200 edges, one past the other along a path: a recursion per edge
+    # would exceed Python's default recursion limit
+    g = BipartiteRep(600, 601, tuple(e for i in range(1, 601) for e in ((i, i), (i, i + 1))))
+    inst = strong_edge_color(g, 3)
+    assert inst is not None and inst.colors == (1, 2, 3) * 400
+    assert strong_edge_color(g, 2) is None
+
+
 def test_invalid_coloring_rejected():
     g = to_bipartite(table36())
     with pytest.raises(ValueError):

@@ -133,6 +133,8 @@ def test_table_builders_reject_a_general_protocol():
         table_to_general(g)
     with pytest.raises(ValueError, match="cd_wrapper expects a table-kind protocol"):
         cd_wrapper(g)
+    with pytest.raises(ValueError, match="parallel_compose expects a table-kind protocol"):
+        parallel_compose(g, 36)
 
 
 def test_make_iid_of_star_is_identity():

@@ -103,7 +103,7 @@ def test_nodes_count_work_but_not_equality():
 def test_budget_refusal():
     with pytest.raises(EnumerationBudgetError) as info:
         verify_ad(star_protocol(3, 100), budget=10**5)
-    assert info.value.required == 10**6
+    assert (info.value.n, info.value.M) == (3, 100)
     assert info.value.budget == 10**5
 
 
@@ -144,6 +144,10 @@ def test_star_achieves_trivial_bound_exactly():
 def test_single_value_alphabet_verifies():
     assert verify_ad(TableProtocol(3, 1, ())).ok
     assert verify_cd(star_protocol(3, 1)).ok
+    # the budget counts 2**n at M=1: 2**26 passes 10**8 and 2**27 does not
+    assert verify_ad(TableProtocol(26, 1, ())) == Verdict(True, None, 1)
+    with pytest.raises(EnumerationBudgetError):
+        verify_ad(TableProtocol(27, 1, ()))
 
 
 def without_step_entry(p, index, key):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meqlab import (
+    EdgeCollisionError,
     GeneralProtocol,
     LinkTable,
     Step,
@@ -163,11 +164,11 @@ def test_merges_fail_on_both_paths():
 
 
 @st.composite
-def composition_bases(draw):
-    """A random correct three-node base with 2 to 4 values, or, flagged
+def composition_bases(draw, max_M=4):
+    """A random correct three-node base with 2 to max_M values, or, flagged
     True, the same base with the third link's symbols of one conflict pair
     merged, which breaks its strong colouring."""
-    base = random_correct_protocol(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 4)))
+    base = random_correct_protocol(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, max_M)))
     pairs = sorted(conflict_pairs(to_bipartite(base)))
     if not pairs or not draw(st.booleans()):
         return base, False
@@ -185,6 +186,31 @@ def test_compositions_of_random_bases_match_brute_force(drawn, M):
     assert verify_ad(base).ok is not merged
     assert parallel_compose(base, base.M) == base
     assert_matches_oracle(parallel_compose(base, M))
+
+
+@st.composite
+def dense_three_node_tables(draw):
+    M = draw(st.integers(1, 7))
+    return TableProtocol(3, M, tuple(
+        LinkTable(s, r, dense(draw(st.lists(st.integers(1, M), min_size=M, max_size=M))))
+        for s, r in ((1, 2), (1, 3), (2, 3))
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(composition_bases(7).map(lambda drawn: drawn[0]), dense_three_node_tables()))
+def test_correct_iff_distinct_edges_strongly_coloured(t):
+    """The reduction both ways: a three-node table is correct exactly when
+    no two inputs collide on both of node 1's links and link 2->3 separates
+    every conflict pair of the resulting graph."""
+    try:
+        pairs = conflict_pairs(to_bipartite(t))
+    except EdgeCollisionError:
+        reduced = False
+    else:
+        bc = t.link(2, 3).symbols
+        reduced = all(bc[x - 1] != bc[y - 1] for x, y in pairs)
+    assert verify_ad(t).ok is reduced
 
 
 def test_protocol_without_links():
