@@ -12,12 +12,7 @@ import sys
 
 from . import constructions, serial, transforms
 from .coloring import SearchBudgetError, optimal_search, protocol_from_coloring
-from .core import (
-    MalformedProtocolError,
-    TableProtocol,
-    complexity,
-    simulate,
-)
+from .core import MalformedProtocolError, TableProtocol, complexity, simulate
 from .verify import DEFAULT_BUDGET, EnumerationBudgetError, verify_ad, verify_cd
 
 EXIT_OK = 0
@@ -118,11 +113,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.detector is not None and not args.cd:
+        raise _UsageError("--detector applies only with --cd")
     p = serial.load_protocol(args.file)
-    if args.cd:
-        verdict = verify_cd(p, args.detector, args.budget)
-    else:
-        verdict = verify_ad(p, args.budget)
+    verdict = verify_cd(p, args.detector, args.budget) if args.cd else verify_ad(p, args.budget)
     if verdict.ok:
         c = complexity(p)
         print(f"ok, {verdict.vectors_checked} vectors, C=log2 {c.product} = {c.bits:.6f} bits")
@@ -179,6 +173,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", 1) < 1:  # only build and verify take a budget
+            raise _UsageError("--budget must be at least 1")
         return _COMMANDS[args.command](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -7,8 +7,8 @@ Correctness forces the edges to be distinct (else two values are
 indistinguishable to both receivers) and forces the 2->3 table to separate
 any two edges within distance two of each other, i.e. to be a strong edge
 coloring. Searching all small graphs and color counts therefore computes
-the exact optimal cost for three nodes. The coloring solver is the
-forward-checking join that `verify` decides table protocols with.
+the exact optimal cost for three nodes. The coloring solver and its check
+are the forward-checking join that `verify` decides table protocols with.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import TableProtocol, check_size, dense_link
-from .verify import _smallest_join, verify_ad
+from .verify import _agreeing_input, _smallest_join
 
 
 class EdgeCollisionError(ValueError):
@@ -92,7 +92,9 @@ def conflict_pairs(g: BipartiteRep) -> frozenset[tuple[int, int]]:
 class ColoringInstance:
     """A graph plus one color per edge, valid for the distance-2 constraint.
 
-    Construction re-checks validity, so holding an instance is proof that
+    Construction runs `verify`'s join on the protocol read off the instance;
+    its smallest counterexample (z, x, y) names edges x != y that conflict
+    through edge z and share a color. Holding an instance is proof that
     every conflicting pair is separated.
     """
 
@@ -106,8 +108,11 @@ class ColoringInstance:
         for c in self.colors:
             if c < 1:
                 raise ValueError(f"color {c} must be positive")
-        for x, y in conflict_pairs(self.graph):
-            if self.colors[x - 1] == self.colors[y - 1]:
+        if self.graph.M:  # a table protocol needs at least one input
+            t = protocol_from_coloring(self)
+            bad = _agreeing_input(t, t.links)[0]
+            if bad:
+                x, y = sorted(bad[1:])
                 raise ValueError(f"edges {x} and {y} conflict but share color {self.colors[x - 1]}")
 
     @property
@@ -124,7 +129,8 @@ def strong_edge_color(g: BipartiteRep, W_size: int) -> ColoringInstance | None:
     x may take only colors 1..x: renaming color classes in order of first
     use keeps a coloring valid and never raises a color, so the smallest
     coloring puts none above x on edge x. The join skips constant inputs,
-    so a graph with no conflict pair gets the all-ones coloring directly."""
+    so a graph with no conflict pair gets the all-ones coloring directly.
+    It scans `conflict_pairs` once; ColoringInstance checks the result."""
     if W_size < 1:
         raise ValueError("W_size must be positive")
     pairs = conflict_pairs(g)
@@ -236,6 +242,7 @@ def optimal_search(
     per isomorphism class) is tested for a c-color strong edge coloring.
     The first feasible triple is optimal; the triples rejected on the way
     are reported alongside the witness, with per-triple counts in ``stats``.
+    Building the witness's ColoringInstance verified its protocol.
     ``graph_budget`` caps the edge sets enumerated, skipped ones included;
     ``max_alphabet``, when given, refuses any larger M outright.
     """
@@ -280,9 +287,6 @@ def optimal_search(
             infeasible.append((a, b, c))
             continue
         product = a * b * c
-        check = verify_ad(protocol_from_coloring(witness))
-        if not check.ok:
-            raise AssertionError(f"witness for ({a},{b},{c}) fails verification")
         return OptimalResult(a, b, c, product, math.log2(product), witness, tuple(infeasible),
                              tuple(stats))
     raise AssertionError("search space exhausted without a feasible triple")

@@ -33,6 +33,26 @@ def test_verify_budget_exit_code(tmp_path):
     assert run(["verify", "--ad", str(path), "--budget", "10"]) == 3
 
 
+@pytest.mark.parametrize("mode", [[], ["--ad"]])
+def test_detector_needs_cd(tmp_path, capsys, mode):
+    path = tmp_path / "t36.json"
+    save_protocol(table36(), path)
+    assert run(["verify", *mode, str(path), "--detector", "7"]) == 1
+    assert capsys.readouterr().err == "usage error: --detector applies only with --cd\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, budget):
+    path = tmp_path / "t36.json"
+    save_protocol(table36(), path)
+    out = tmp_path / "wrapped.json"
+    for argv in (["verify", str(path)], ["build", "cdwrap", str(path), "--out", str(out)]):
+        assert run([*argv, "--budget", budget]) == 1
+        assert capsys.readouterr().err == "usage error: --budget must be at least 1\n"
+    assert not out.exists()
+    assert run(["verify", str(path), "--budget", "216"]) == 0
+
+
 def test_verify_cd_flag(tmp_path, capsys):
     path = tmp_path / "t36.json"
     save_protocol(table36(), path)

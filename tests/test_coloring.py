@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meqlab import (
@@ -26,6 +27,7 @@ from meqlab import (
 )
 
 from conftest import canonical_oracle, conflict_oracle, random_correct_protocol
+from meqlab import coloring
 from meqlab.coloring import _is_canonical
 
 
@@ -203,10 +205,63 @@ def test_strong_coloring_of_a_long_path():
 
 def test_invalid_coloring_rejected():
     g = to_bipartite(table36())
-    with pytest.raises(ValueError):
-        ColoringInstance(g, (1, 1, 3, 1, 2, 3))  # edges 1,2 conflict
+    with pytest.raises(ValueError, match="^edges 1 and 2 conflict but share color 1$"):
+        ColoringInstance(g, (1, 1, 3, 1, 2, 3))
+    # edges 1 and 6 share right vertex 1, edges 4 and 6 are bridged by edge
+    # 5; the smallest counterexample (1, 1, 6) names the first pair
+    with pytest.raises(ValueError, match="^edges 1 and 6 conflict but share color 1$"):
+        ColoringInstance(g, (1, 2, 3, 1, 2, 1))
     with pytest.raises(ValueError):
         ColoringInstance(g, (1, 2, 3))
+
+
+@st.composite
+def colored_graphs(draw):
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 4))
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    g = BipartiteRep(a, b, tuple(draw(st.lists(st.sampled_from(cells), unique=True))))
+    return g, tuple(draw(st.lists(st.integers(1, g.M + 1), min_size=g.M, max_size=g.M)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+@example((BipartiteRep(1, 1, ()), ()))
+def test_coloring_instance_accepts_exactly_the_strong_colorings(case):
+    g, colors = case
+    clashes = {(x, y) for x, y in conflict_oracle(g) if colors[x - 1] == colors[y - 1]}
+    if not clashes:
+        assert ColoringInstance(g, colors).colors == colors
+        return
+    with pytest.raises(ValueError) as info:
+        ColoringInstance(g, colors)
+    x, y, c = map(int, re.fullmatch(r"edges (\d+) and (\d+) conflict but share color (\d+)",
+                                    str(info.value)).groups())
+    assert (x, y) in clashes and c == colors[x - 1]
+
+
+def test_conflict_pairs_scanned_once_per_coloring(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return conflict_pairs(g)
+
+    monkeypatch.setattr(coloring, "conflict_pairs", counted)
+    g = to_bipartite(table36())
+    assert strong_edge_color(g, 3).colors == (1, 2, 3, 1, 2, 3)
+    assert strong_edge_color(g, 2) is None
+    assert len(calls) == 2
+    ColoringInstance(g, (1, 2, 3, 1, 2, 3))
+    assert len(calls) == 2
+    assert not hasattr(coloring, "verify_ad")
+
+
+def test_construction_catches_a_wrong_conflict_scan(monkeypatch):
+    # validity is proven on the protocol, not with the solver's own pairs
+    monkeypatch.setattr(coloring, "conflict_pairs", lambda g: frozenset())
+    with pytest.raises(ValueError, match="^edges 1 and 3 conflict but share color 1$"):
+        strong_edge_color(complete_grid(2, 2), 4)
 
 
 def test_protocol_from_coloring_round_trip():
