@@ -41,7 +41,7 @@ def _build_parser() -> _Parser:
     build.add_argument("--M", type=int, default=6)
     build.add_argument("--k", type=int, default=1)
     build.add_argument("--h", type=int, default=1)
-    build.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    build.add_argument("--budget", type=int, default=None, help="enumeration budget (cdwrap only)")
     build.add_argument("--out", required=True)
 
     sim = sub.add_parser("simulate", help="replay a protocol on one input vector")
@@ -80,6 +80,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _cmd_build(args) -> int:
+    if args.budget is not None and args.what != "cdwrap":
+        raise _UsageError("--budget applies only to build cdwrap")
     if args.what == "star":
         p = constructions.star_protocol(args.n, args.M)
     elif args.what == "table36":
@@ -98,7 +100,7 @@ def _cmd_build(args) -> int:
         base = serial.load_protocol(args.base)
         if not isinstance(base, TableProtocol):
             raise _UsageError("cdwrap expects a table-kind protocol file")
-        p = constructions.cd_wrapper(base, args.budget)
+        p = constructions.cd_wrapper(base, DEFAULT_BUDGET if args.budget is None else args.budget)
     serial.save_protocol(p, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -173,7 +175,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "budget", 1) < 1:  # only build and verify take a budget
+        budget = getattr(args, "budget", None)  # only build and verify take a budget
+        if budget is not None and budget < 1:
             raise _UsageError("--budget must be at least 1")
         return _COMMANDS[args.command](args)
     except _UsageError as err:

@@ -18,8 +18,18 @@ class MalformedProtocolError(Exception):
     """A lookup table has no entry for a reachable (input, history) pair."""
 
 
+def check_int(value, what: str) -> int:
+    """value itself, if it is an int. bool is a subclass of int, but
+    true/false is no count, node or symbol, and the file reader refuses it."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def check_size(n: int, M: int) -> None:
     """Reject fewer than two nodes or an empty input alphabet."""
+    check_int(n, "n")
+    check_int(M, "M")
     if n < 2:
         raise ValueError("need at least two nodes")
     if M < 1:
@@ -61,13 +71,17 @@ class Step:
     range_size: int
 
     def __post_init__(self):
+        check_int(self.sender, "step endpoint")
+        check_int(self.receiver, "step endpoint")
         if self.sender == self.receiver:
             raise ValueError("sender and receiver must differ")
-        if self.range_size < 1:
+        if check_int(self.range_size, "range") < 1:
             raise ValueError("range_size must be positive")
         for key, sym in self.table.items():
             if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], tuple)):
                 raise ValueError(f"table key {key!r} is not (input, history)")
+            if type(sym) is not int:
+                raise ValueError(f"symbol must be an integer, got {sym!r}")
             if not 1 <= sym <= self.range_size:
                 raise ValueError(f"symbol {sym} outside 1..{self.range_size}")
 
@@ -94,10 +108,10 @@ class GeneralProtocol:
                 if not 1 <= node <= self.n:
                     raise ValueError(f"step {index}: node {node} outside 1..{self.n}")
         for node, table in self.decisions.items():
-            if not 1 <= node <= self.n:
+            if not 1 <= check_int(node, "decision node") <= self.n:
                 raise ValueError(f"decision node {node} outside 1..{self.n}")
-            for key, bit in table.items():
-                if bit not in (0, 1):
+            for bit in table.values():
+                if type(bit) is not int or bit not in (0, 1):
                     raise ValueError(f"decision {bit!r} for node {node} is not a bit")
 
 
@@ -114,10 +128,16 @@ class LinkTable:
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
+        check_int(self.sender, "link endpoint")
+        check_int(self.receiver, "link endpoint")
+        check_int(self.range_size, "range")
         if self.sender == self.receiver:
             raise ValueError("sender and receiver must differ")
         if not self.symbols:
             raise ValueError("empty symbol table")
+        for sym in self.symbols:
+            if type(sym) is not int:
+                raise ValueError(f"symbol must be an integer, got {sym!r}")
         top = max(self.symbols)
         if set(self.symbols) != set(range(1, top + 1)):
             raise ValueError(f"symbols {sorted(set(self.symbols))} are not a dense 1..{top} range")

@@ -1,7 +1,11 @@
-"""Protocol documents: UTF-8 JSON, deterministic field order.
+"""Protocol files: UTF-8 JSON, exactly as json.dumps(doc, indent=2,
+sort_keys=True) lays out the document `protocol_to_doc` gives, plus a
+newline.
 
-Reading back what was written reproduces the original object exactly, so
-files are a faithful interchange format between the CLI subcommands.
+`dumps` writes that text straight from the protocol, one format string per
+level of the fixed schema, without building the document. Reading back what
+was written reproduces the original object exactly, so files are a faithful
+interchange format between the CLI subcommands.
 """
 
 import json
@@ -10,7 +14,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol, placed
+from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol, check_int, placed
 
 
 def _entries(table: dict) -> list:
@@ -34,13 +38,6 @@ def protocol_to_doc(p: Protocol) -> dict:
     ]
     decisions = [{"node": node, "table": _entries(p.decisions[node])} for node in sorted(p.decisions)]
     return {"kind": "general", "n": p.n, "M": p.M, "steps": steps, "decisions": decisions}
-
-
-def _integer(value, what: str) -> int:
-    # bool is a subclass of int, but true/false is no count or symbol
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _list(value, what: str) -> list:
@@ -122,8 +119,6 @@ def protocol_from_doc(doc: dict) -> Protocol:
     if kind not in ("table", "general"):
         raise ValueError(f"unknown document kind {kind!r}")
     _object(doc, f"{kind} document", "n", "M", "links" if kind == "table" else "steps")
-    n = _integer(doc["n"], "n")
-    M = _integer(doc["M"], "M")
     if kind == "table":
         links = []
         for index, entry in enumerate(_list(doc["links"], "links"), 1):
@@ -131,39 +126,90 @@ def protocol_from_doc(doc: dict) -> Protocol:
             links.append(placed(
                 f"link {index}",
                 LinkTable,
-                _integer(entry["from"], "link endpoint"),
-                _integer(entry["to"], "link endpoint"),
-                tuple(_integer(sym, "symbol") for sym in _list(entry["symbols"], "symbols")),
-                _integer(entry.get("range", 0), "range"),
+                entry["from"],
+                entry["to"],
+                tuple(_list(entry["symbols"], "symbols")),
+                entry.get("range", 0),
             ))
-        return placed("table document", TableProtocol, n, M, tuple(links))
+        return placed("table document", TableProtocol, doc["n"], doc["M"], tuple(links))
     steps = []
     for index, raw in enumerate(_list(doc["steps"], "steps"), 1):
         raw = _object(raw, "step", "from", "to", "table", "range")
         steps.append(placed(
             f"step {index}",
             Step,
-            _integer(raw["from"], "step endpoint"),
-            _integer(raw["to"], "step endpoint"),
+            raw["from"],
+            raw["to"],
             _lookup(raw["table"], f"step {index} table"),
-            _integer(raw["range"], "range"),
+            raw["range"],
         ))
     decisions = {}
     for raw in _list(doc.get("decisions", []), "decisions"):
         raw = _object(raw, "decision", "node", "table")
-        node = _integer(raw["node"], "decision node")
+        node = check_int(raw["node"], "decision node")
         if node in decisions:
             raise ValueError(f"decision node {node} appears more than once")
         decisions[node] = _lookup(raw["table"], f"node {node} decision table")
-    return placed("general document", GeneralProtocol, n, M, tuple(steps), decisions)
+    return placed("general document", GeneralProtocol, doc["n"], doc["M"], tuple(steps), decisions)
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _array(texts: list, indent: int) -> str:
+    """A JSON list of rendered items, laid out as json.dumps(indent=2) lays
+    out a list whose closing bracket sits `indent` spaces in."""
+    if not texts:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + " " * indent + "]"
+
+
+def _link_text(lk: LinkTable) -> str:
+    """One link of a table document, with "range" only where protocol_to_doc
+    writes it."""
+    declared = f'\n      "range": {lk.range_size},' if lk.range_size > max(lk.symbols) else ""
+    return (
+        f'{{\n      "from": {lk.sender},{declared}\n      "symbols": {_array(list(map(str, lk.symbols)), 6)},\n'
+        f'      "to": {lk.receiver}\n    }}'
+    )
+
+
+def _table_text(table: dict, histories: dict) -> str:
+    """_entries(table) as a step's or decision's "table" field. `histories`
+    caches the rendered text of each history, which many inputs share."""
+    for h in set(map(itemgetter(1), table)) - histories.keys():
+        histories[h] = _array(list(map(str, h)), 10)
+    # sorting the keys alone, not the items, halves the cost of the sort
+    return _array([
+        f'{{\n          "history": {histories[key[1]]},\n          "input": {key[0]},\n          "out": {table[key]}\n        }}'
+        for key in sorted(table)
+    ], 6)
+
+
+def dumps(p: Protocol) -> str:
+    """The text of p's file: json.dumps(protocol_to_doc(p), indent=2,
+    sort_keys=True) plus a newline, rendered from p without building the
+    document. Each format string below is one level of the schema, its keys
+    in sorted order and its indent spelled out."""
+    if isinstance(p, TableProtocol):
+        links = _array(list(map(_link_text, p.links)), 2)
+        return f'{{\n  "M": {p.M},\n  "kind": "table",\n  "links": {links},\n  "n": {p.n}\n}}\n'
+    histories = {}
+    steps = [
+        f'{{\n      "from": {st.sender},\n      "range": {st.range_size},\n'
+        f'      "table": {_table_text(st.table, histories)},\n      "to": {st.receiver}\n    }}'
+        for st in p.steps
+    ]
+    decisions = [
+        f'{{\n      "node": {node},\n      "table": {_table_text(p.decisions[node], histories)}\n    }}'
+        for node in sorted(p.decisions)
+    ]
+    return (
+        f'{{\n  "M": {p.M},\n  "decisions": {_array(decisions, 2)},\n  "kind": "general",\n'
+        f'  "n": {p.n},\n  "steps": {_array(steps, 2)}\n}}\n'
+    )
 
 
 def save_protocol(p: Protocol, path) -> None:
-    Path(path).write_text(dumps(protocol_to_doc(p)), encoding="utf-8")
+    Path(path).write_text(dumps(p), encoding="utf-8")
 
 
 def load_protocol(path) -> Protocol:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 from meqlab import (
@@ -10,6 +11,7 @@ from meqlab import (
     TableProtocol,
     Verdict,
     conflict_pairs,
+    protocol_to_doc,
     simulate,
     star_protocol,
 )
@@ -158,3 +160,9 @@ def materialize_oracle(n, M, schedule, semantics, range_overrides=None) -> Gener
         for node, table in decision_tables.items()
     }
     return GeneralProtocol(n, M, tuple(steps), decisions)
+
+
+def dumps_oracle(p) -> str:
+    """The text of p's file as Python's json module lays out its document,
+    independent of `meqlab.serial.dumps`."""
+    return json.dumps(protocol_to_doc(p), indent=2, sort_keys=True) + "\n"

@@ -53,6 +53,19 @@ def test_budget_below_one_is_a_usage_error(tmp_path, capsys, budget):
     assert run(["verify", str(path), "--budget", "216"]) == 0
 
 
+@pytest.mark.parametrize("what", [["table36"], ["star", "--n", "4", "--M", "3"], ["bin2k", "--k", "2"]])
+def test_budget_applies_only_to_cdwrap(tmp_path, capsys, what):
+    # every other builder enumerates nothing, so a budget there would be ignored
+    out = tmp_path / "b.json"
+    assert run(["build", *what, "--budget", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: --budget applies only to build cdwrap\n"
+    assert not out.exists()
+    path = tmp_path / "t36.json"
+    save_protocol(table36(), path)
+    assert run(["build", "cdwrap", str(path), "--budget", "215", "--out", str(out)]) == 3
+    assert run(["build", "cdwrap", str(path), "--budget", "216", "--out", str(out)]) == 0
+
+
 def test_verify_cd_flag(tmp_path, capsys):
     path = tmp_path / "t36.json"
     save_protocol(table36(), path)

@@ -239,6 +239,20 @@ def test_materialize_rejects_override_below_realized():
         (lambda: LinkTable(2, 2, (1,)), "sender and receiver must differ"),
         (lambda: LinkTable(1, 2, ()), "empty symbol table"),
         (lambda: TableProtocol(2, 1, (LinkTable(1, 3, (1,)),)), "link 1 endpoint outside 1..2"),
+        # True == 1 and 1.0 == 1, but a file would hold true or 1.0, which no reader takes back
+        (lambda: LinkTable(1, 2, (True, 2)), "symbol must be an integer, got True"),
+        (lambda: LinkTable(1, 2, (1, 2.0)), "symbol must be an integer, got 2.0"),
+        (lambda: LinkTable(True, 2, (1,)), "link endpoint must be an integer, got True"),
+        (lambda: LinkTable(1, 2, (1,), 1.0), "range must be an integer, got 1.0"),
+        (lambda: TableProtocol(3.0, 1, ()), "n must be an integer, got 3.0"),
+        (lambda: Step(1, 2, {(1, ()): 1.0}, 1), "symbol must be an integer, got 1.0"),
+        (lambda: Step(1, 2, {(1, ()): True}, 1), "symbol must be an integer, got True"),
+        (lambda: Step(1, 2.0, {}, 1), "step endpoint must be an integer, got 2.0"),
+        (lambda: Step(1, 2, {}, True), "range must be an integer, got True"),
+        (lambda: GeneralProtocol(2, 2, (), {2: {(1, ()): True}}), "decision True for node 2 is not a bit"),
+        (lambda: GeneralProtocol(2, 2, (), {2: {(1, ()): 0.0}}), "decision 0.0 for node 2 is not a bit"),
+        (lambda: GeneralProtocol(2, 2, (), {True: {}}), "decision node must be an integer, got True"),
+        (lambda: GeneralProtocol(2, True, ()), "M must be an integer, got True"),
     ],
 )
 def test_constructor_rejects(build, message):

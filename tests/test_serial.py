@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meqlab import (
+    GeneralProtocol,
+    LinkTable,
+    Step,
+    TableProtocol,
     cd_wrapper,
     flip_step,
     load_protocol,
@@ -17,11 +21,15 @@ from meqlab import (
     table36,
     table_to_general,
     tighten,
+    verify_ad,
 )
 from meqlab.cli import run
+from meqlab.core import materialize
 from meqlab.serial import dumps
 
-from conftest import random_correct_protocol
+from conftest import dumps_oracle, random_correct_protocol
+from test_rebuild_differential import random_rules
+from test_verify_differential import dense
 
 
 @pytest.mark.parametrize(
@@ -60,11 +68,75 @@ def test_round_trip_and_tighten_on_random_protocols(seed, M, wrap, flips):
     for index in flips:
         g = flip_step(g, (index - 1) % len(g.steps) + 1)
     for p in (t, g):
-        text = dumps(protocol_to_doc(p))
+        text = dumps(p)
         back = protocol_from_doc(json.loads(text))
         assert back == p
-        assert dumps(protocol_to_doc(back)) == text
+        assert dumps(back) == text
     assert tighten(tighten(g)) == tighten(g)
+
+
+@st.composite
+def framed_tables(draw):
+    """Table protocols up to M=12, so symbols reach two digits, whose links
+    leave the range tight, declare it equal to the realized maximum, or
+    declare it above."""
+    n = draw(st.integers(2, 4))
+    M = draw(st.integers(1, 12))
+    links = []
+    for s in range(1, n + 1):
+        for r in range(s + 1, n + 1):
+            if not draw(st.booleans()):
+                continue
+            if draw(st.booleans()):
+                symbols = tuple(draw(st.permutations(range(1, M + 1))))
+            else:
+                symbols = dense(draw(st.lists(st.integers(1, M), min_size=M, max_size=M)))
+            top = max(symbols)
+            declared = draw(st.one_of(st.just(0), st.just(top), st.integers(top + 1, 1000)))
+            links.append(LinkTable(s, r, symbols, declared))
+    return TableProtocol(n, M, tuple(links))
+
+
+@settings(max_examples=100, deadline=None)
+@given(framed_tables(), st.lists(st.integers(1, 16), max_size=3), st.integers(0, 2**32 - 1))
+def test_dumps_matches_json_on_tables_and_rewrites(t, flips, seed):
+    assert dumps(t) == dumps_oracle(t)
+    g = table_to_general(t)
+    assert dumps(g) == dumps_oracle(g)
+    for index in flips if g.steps else ():
+        g = flip_step(g, (index - 1) % len(g.steps) + 1)
+        assert dumps(g) == dumps_oracle(g)
+    correct = random_correct_protocol(random.Random(seed), t.M)
+    for base in (t, correct) if verify_ad(t).ok else (correct,):
+        wrapped = cd_wrapper(base)
+        assert dumps(wrapped) == dumps_oracle(wrapped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_rules())
+def test_dumps_matches_json_on_history_dependent_rules(rules):
+    p = materialize(*rules)
+    assert dumps(p) == dumps_oracle(p)
+
+
+def some_deciders(p, *nodes):
+    """p with the decision tables of `nodes` only, in that order."""
+    return GeneralProtocol(p.n, p.M, p.steps, {node: p.decisions[node] for node in nodes})
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        GeneralProtocol(3, 2, ()),
+        GeneralProtocol(3, 2, (), {2: {(1, ()): 0, (2, ()): 1}}),
+        GeneralProtocol(2, 1, (Step(1, 2, {(1, ()): 1}, 1),), {2: {}}),
+        some_deciders(table_to_general(table36()), 3, 2),
+        TableProtocol(3, 2, ()),
+    ],
+    ids=["no-steps", "no-steps-one-decider", "empty-decision-table", "some-deciders", "no-links"],
+)
+def test_dumps_matches_json_on_empty_parts(p):
+    assert dumps(p) == dumps_oracle(p)
 
 
 def test_declared_range_survives():
@@ -75,8 +147,8 @@ def test_declared_range_survives():
 
 
 def test_dump_is_deterministic():
-    a = dumps(protocol_to_doc(cd_wrapper(table36())))
-    b = dumps(protocol_to_doc(cd_wrapper(table36())))
+    a = dumps(cd_wrapper(table36()))
+    b = dumps(cd_wrapper(table36()))
     assert a == b
 
 

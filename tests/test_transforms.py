@@ -18,7 +18,6 @@ from meqlab import (
     make_iid,
     meq3_2k,
     parallel_compose,
-    protocol_to_doc,
     simulate,
     star_protocol,
     table36,
@@ -217,7 +216,7 @@ def test_rewrite_outputs_are_byte_identical(build, digest):
     # sha256 of the protocol files these rewrites wrote before the rebuild
     # engine was reduced to one replay per input, and these builders wrote
     # while meq3_2k still packed its base-3 words by hand
-    text = dumps(protocol_to_doc(build()))
+    text = dumps(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -280,7 +279,7 @@ def relay_protocol(M):
 def test_relay_protocol_is_byte_identical(M, digest):
     # sha256 of the file the relay protocol gave when it was still built
     # from a callback over whole input vectors
-    text = dumps(protocol_to_doc(relay_protocol(M)))
+    text = dumps(relay_protocol(M))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
