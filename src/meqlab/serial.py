@@ -6,8 +6,15 @@ newline.
 level of the fixed schema, without building the document. Reading back what
 was written reproduces the original object exactly, so files are a faithful
 interchange format between the CLI subcommands.
+
+`load_protocol` pauses the process-wide cyclic garbage collector while it
+decodes and builds, then restores the caller's setting; nothing it builds
+can form a reference cycle. A file nested deeper than the JSON decoder
+allows is malformed, like any other file that breaks the schema
+(ValueError).
 """
 
+import gc
 import json
 from collections import Counter
 from itertools import chain, repeat
@@ -213,4 +220,19 @@ def save_protocol(p: Protocol, path) -> None:
 
 
 def load_protocol(path) -> Protocol:
-    return protocol_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The protocol in the file at `path`, with the cyclic collector paused
+    while it decodes and builds. Raises OSError when the file cannot be
+    read and ValueError when it is not a valid protocol file."""
+    # a parse tree and tables of int tuples hold no cycles, so collector
+    # passes over the growing document would find nothing (the tests check)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError("protocol file nests deeper than the JSON decoder allows") from None
+        return protocol_from_doc(doc)
+    finally:
+        if enabled:
+            gc.enable()

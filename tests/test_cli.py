@@ -201,6 +201,17 @@ def test_malformed_general_file(tmp_path, capsys):
     assert_clean_error(capsys, run(["transform", str(path), "--iid", "--out", str(tmp_path / "o.json")]))
 
 
+def test_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    steps = "[" * depth + "]" * depth
+    path.write_text('{"kind": "general", "n": 2, "M": 2, "steps": ' + steps + "}", encoding="utf-8")
+    assert run(["verify", "--ad", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: protocol file nests deeper than the JSON decoder allows\n"
+    assert "Traceback" not in err
+
+
 def test_document_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([{"kind": "table"}]), encoding="utf-8")

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -11,12 +12,14 @@ from meqlab import (
     Step,
     TableProtocol,
     cd_wrapper,
+    extended_table,
     flip_step,
     load_protocol,
     meq3_2k,
     protocol_from_doc,
     protocol_to_doc,
     save_protocol,
+    serial,
     star_protocol,
     table36,
     table_to_general,
@@ -158,6 +161,78 @@ def test_file_round_trip(tmp_path):
     assert load_protocol(path) == table36()
     text = path.read_text(encoding="utf-8")
     assert json.loads(text)["kind"] == "table"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [table36, lambda: cd_wrapper(extended_table(1)), lambda: cd_wrapper(star_protocol(4, 16))],
+    ids=["table36", "cd-extended", "cd-star-4-16"],
+)
+def test_load_leaves_no_garbage_cycles(tmp_path, build):
+    # load_protocol pauses the collector on the premise that nothing it
+    # decodes or builds forms a reference cycle
+    p = build()
+    path = tmp_path / "p.json"
+    save_protocol(p, path)
+    gc.collect()
+    loaded = load_protocol(path)
+    assert gc.collect() == 0
+    assert loaded == p
+    del loaded
+    assert gc.collect() == 0
+
+
+def test_load_pauses_the_collector(tmp_path, monkeypatch):
+    seen = []
+    build = serial.protocol_from_doc
+    monkeypatch.setattr(serial, "protocol_from_doc", lambda doc: seen.append(gc.isenabled()) or build(doc))
+    path = tmp_path / "p.json"
+    save_protocol(table36(), path)
+    assert gc.isenabled()
+    assert load_protocol(path) == table36()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def write_good(path):
+    save_protocol(table36(), path)
+
+
+def write_malformed(path):
+    path.write_text('{"kind": "table", "n": 3', encoding="utf-8")
+
+
+def write_nested(path):
+    steps = "[" * 100_000 + "]" * 100_000  # beyond the decoder's limit on every supported Python
+    path.write_text('{"kind": "general", "n": 2, "M": 2, "steps": ' + steps + "}", encoding="utf-8")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "write, error, message",
+    [
+        (write_good, None, None),
+        (write_malformed, ValueError, "^Expecting"),
+        (None, OSError, "No such file"),
+        (write_nested, ValueError, "^protocol file nests deeper than the JSON decoder allows$"),
+    ],
+    ids=["good", "malformed", "missing", "nested"],
+)
+def test_load_restores_the_collector(tmp_path, enabled, write, error, message):
+    path = tmp_path / "p.json"
+    if write is not None:
+        write(path)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert load_protocol(path) == table36()
+        else:
+            with pytest.raises(error, match=message):
+                load_protocol(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_unknown_kind_rejected():
