@@ -160,24 +160,22 @@ def protocol_from_coloring(inst: ColoringInstance) -> TableProtocol:
 
 @dataclass(frozen=True)
 class TripleStats:
-    """What the search did for one size triple: the a x b graphs it
-    enumerated and how many of those it skipped as isomorphic to an earlier
-    one. Every graph not skipped gets one strong_edge_color call."""
+    """What the search did for one size triple: the edge-set prefixes it
+    extended (``nodes``, which the budget counts), the prefixes it cut by
+    the degree bound or as not canonical, and its strong_edge_color calls."""
 
     sizes: tuple[int, int, int]
-    enumerated: int
-    skipped: int
-
-    @property
-    def colorings(self) -> int:
-        return self.enumerated - self.skipped
+    nodes: int
+    degree_cuts: int
+    canonical_cuts: int
+    colorings: int
 
 
 class SearchBudgetError(Exception):
-    """The graph enumeration budget ran out before the search finished.
+    """The search-node budget ran out before the search finished.
     ``frontier`` holds every undecided size triple, the unfinished one
     first; ``stats`` holds the counts of every triple tried, the unfinished
-    one last."""
+    one last, so their nodes add up to the budget."""
 
     def __init__(self, budget: int, frontier: list[tuple[int, int, int]],
                  stats: tuple[TripleStats, ...] = ()):
@@ -229,6 +227,51 @@ def _is_canonical(combo: tuple[tuple[int, int], ...], a: int, b: int, row_perms)
     return True
 
 
+class _BudgetSpent(Exception):
+    """_edge_sets was asked to extend one node more than its budget."""
+
+
+def _edge_sets(a: int, b: int, c: int, M: int, counts: dict, budget: int):
+    """Yield, in lexicographic order, the canonical sorted M-edge sets of the
+    a x b grid (see _is_canonical) with deg(u) + deg(v) - 1 <= c at every
+    edge (u, v). Depth first, a prefix is cut with all its extensions on
+    either of two hereditary tests: the edges at u or at v form a conflict
+    clique that needs that many colors, and degrees only grow; a relabelling
+    that lowers a sorted set without its largest edge lowers the set too.
+    Canonicity is tested when the newest edge opens a row and on every
+    complete set. ``counts`` gains the nodes extended and the prefixes each
+    test cut; extending node budget + 1 raises _BudgetSpent."""
+    cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
+    row_perms = list(itertools.permutations(range(1, a + 1)))
+    row_deg, col_deg = [0] * (a + 1), [0] * (b + 1)
+
+    def extend(prefix, start):
+        if counts["nodes"] == budget:
+            raise _BudgetSpent
+        counts["nodes"] += 1
+        for i in range(start, len(cells) - (M - len(prefix)) + 1):
+            u, v = cells[i]
+            combo = prefix + ((u, v),)
+            row_deg[u] += 1
+            col_deg[v] += 1
+            if any(row_deg[x] + col_deg[y] - 1 > c for x, y in combo):
+                counts["degree_cuts"] += 1
+            elif ((not prefix or prefix[-1][0] != u or len(combo) == M)
+                  and not _is_canonical(combo, a, b, row_perms)):
+                counts["canonical_cuts"] += 1
+            elif len(combo) == M:
+                yield combo
+            else:
+                yield from extend(combo, i + 1)
+            row_deg[u] -= 1
+            col_deg[v] -= 1
+
+    try:
+        yield from extend((), 0)
+    finally:
+        del extend  # the recursive closure is a reference cycle; free it now
+
+
 def optimal_search(
     M: int, *, max_alphabet: int | None = None, graph_budget: int = 2_000_000
 ) -> OptimalResult:
@@ -236,53 +279,40 @@ def optimal_search(
 
     Size triples are unordered (flipping links permutes the three roles), so
     candidates are a <= b <= c with every pairwise product at least M, tried
-    in increasing product with lexicographic tie-break. For each triple, the
-    M-edge sets of the a x b grid are enumerated in lexicographic order, and
-    each one that is the smallest of its row/column relabellings (one graph
-    per isomorphism class) is tested for a c-color strong edge coloring.
-    The first feasible triple is optimal; the triples rejected on the way
-    are reported alongside the witness, with per-triple counts in ``stats``.
-    Building the witness's ColoringInstance verified its protocol.
-    ``graph_budget`` caps the edge sets enumerated, skipped ones included;
-    ``max_alphabet``, when given, refuses any larger M outright.
+    in increasing product with lexicographic tie-break. For each triple,
+    _edge_sets generates the M-edge sets of the a x b grid, one per
+    isomorphism class and only those whose degrees allow c colors, and each
+    is tested for a c-color strong edge coloring. The first feasible triple
+    is optimal; the triples rejected on the way are reported alongside the
+    witness, with per-triple counts in ``stats``. Building the witness's
+    ColoringInstance verified its protocol. ``graph_budget`` caps the search
+    nodes extended, over all triples; ``max_alphabet``, when given, refuses
+    any larger M outright.
     """
     check_size(3, M)
     if max_alphabet is not None and M > max_alphabet:
         raise ValueError(f"M={M} exceeds the exhaustive-search limit {max_alphabet}")
 
-    candidates = sorted(
-        (
-            (a, b, c)
-            for a in range(1, M + 1)
-            for b in range(a, M + 1)
-            for c in range(b, M + 1)
-            if a * b >= M
-        ),
-        key=lambda t: (t[0] * t[1] * t[2], t),
-    )
+    triples = itertools.combinations_with_replacement(range(1, M + 1), 3)  # a <= b <= c
+    candidates = sorted((t for t in triples if t[0] * t[1] >= M), key=lambda t: (math.prod(t), t))
 
     work = 0
     infeasible = []
     stats = []
     for pos, (a, b, c) in enumerate(candidates):
-        cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
-        row_perms = list(itertools.permutations(range(1, a + 1)))
-        enumerated = skipped = 0
+        counts = {"nodes": 0, "degree_cuts": 0, "canonical_cuts": 0, "colorings": 0}
         witness = None
-        for combo in itertools.combinations(cells, M):
-            work += 1
-            if work > graph_budget:
-                stats.append(TripleStats((a, b, c), enumerated, skipped))
-                raise SearchBudgetError(graph_budget, candidates[pos:], stats)
-            enumerated += 1
-            if not _is_canonical(combo, a, b, row_perms):
-                skipped += 1
-                continue
-            inst = strong_edge_color(BipartiteRep(a, b, combo), c)
-            if inst is not None:
-                witness = inst
-                break
-        stats.append(TripleStats((a, b, c), enumerated, skipped))
+        try:
+            for combo in _edge_sets(a, b, c, M, counts, graph_budget - work):
+                counts["colorings"] += 1
+                witness = strong_edge_color(BipartiteRep(a, b, combo), c)
+                if witness is not None:
+                    break
+        except _BudgetSpent:
+            stats.append(TripleStats((a, b, c), **counts))
+            raise SearchBudgetError(graph_budget, candidates[pos:], stats) from None
+        work += counts["nodes"]
+        stats.append(TripleStats((a, b, c), **counts))
         if witness is None:
             infeasible.append((a, b, c))
             continue

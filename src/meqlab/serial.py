@@ -1,5 +1,5 @@
 """Protocol files: UTF-8 JSON, exactly as json.dumps(doc, indent=2,
-sort_keys=True) lays out the document `protocol_to_doc` gives, plus a
+sort_keys=True) lays out the document `protocol_from_doc` reads, plus a
 newline.
 
 `dumps` writes that text straight from the protocol, one format string per
@@ -24,29 +24,6 @@ from pathlib import Path
 from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol, check_int, placed
 
 
-def _entries(table: dict) -> list:
-    """The list of entries of an (input, history) -> output table; _lookup
-    reads it back."""
-    return [{"input": x, "history": list(hist), "out": out} for (x, hist), out in sorted(table.items())]
-
-
-def protocol_to_doc(p: Protocol) -> dict:
-    if isinstance(p, TableProtocol):
-        links = []
-        for lk in p.links:
-            entry = {"from": lk.sender, "to": lk.receiver, "symbols": list(lk.symbols)}
-            if lk.range_size > max(lk.symbols):
-                entry["range"] = lk.range_size
-            links.append(entry)
-        return {"kind": "table", "n": p.n, "M": p.M, "links": links}
-    steps = [
-        {"from": st.sender, "to": st.receiver, "range": st.range_size, "table": _entries(st.table)}
-        for st in p.steps
-    ]
-    decisions = [{"node": node, "table": _entries(p.decisions[node])} for node in sorted(p.decisions)]
-    return {"kind": "general", "n": p.n, "M": p.M, "steps": steps, "decisions": decisions}
-
-
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
@@ -62,29 +39,26 @@ def _object(value, what: str, *required: str) -> dict:
     return value
 
 
-def _columns(entries: list):
-    """The input, history and out columns of a table's entries, or None
-    unless every entry is an object with an integer input and output and a
-    list of integers as history."""
-    if not all(map(isinstance, entries, repeat(dict))):
-        return None
-    try:
-        inputs, histories, outs = (
-            list(map(itemgetter(name), entries)) for name in ("input", "history", "out")
-        )
-    except KeyError:
-        return None
-    if (
-        set(map(type, chain(inputs, outs))) <= {int}
-        and set(map(type, histories)) <= {list}
-        and set(map(type, chain.from_iterable(histories))) <= {int}
-    ):
-        return inputs, histories, outs
-    return None
-
-
-def _reject(entries: list, what: str) -> None:
-    """Raise the error that names the first entry _columns refuses."""
+def _columns(entries: list, what: str):
+    """The input, history and out columns of a table's entries. Raises
+    ValueError, naming the first entry that is not an object with an integer
+    input and output and a list of integers as history."""
+    # general files hold up to hundreds of thousands of entries, so they are
+    # checked a column at a time at C speed; only a refused table is walked
+    if all(map(isinstance, entries, repeat(dict))):
+        try:
+            inputs, histories, outs = (
+                list(map(itemgetter(name), entries)) for name in ("input", "history", "out")
+            )
+        except KeyError:
+            pass
+        else:
+            if (
+                set(map(type, chain(inputs, outs))) <= {int}
+                and set(map(type, histories)) <= {list}
+                and set(map(type, chain.from_iterable(histories))) <= {int}
+            ):
+                return inputs, histories, outs
     for e in entries:
         try:
             if not (
@@ -101,13 +75,8 @@ def _reject(entries: list, what: str) -> None:
 
 def _lookup(raw, what: str) -> dict:
     """An (input, history) -> output table from its list of entries."""
-    # general files hold up to hundreds of thousands of entries, so they are
-    # checked a column at a time at C speed; only a refused one is walked
     entries = _list(raw, what)
-    columns = _columns(entries)
-    if columns is None:
-        _reject(entries, what)  # raises
-    inputs, histories, outs = columns
+    inputs, histories, outs = _columns(entries, what)
     table = dict(zip(zip(inputs, map(tuple, histories)), outs))
     # a repeated key would silently keep its last copy; the count shows one
     if len(table) < len(entries):
@@ -170,8 +139,8 @@ def _array(texts: list, indent: int) -> str:
 
 
 def _link_text(lk: LinkTable) -> str:
-    """One link of a table document, with "range" only where protocol_to_doc
-    writes it."""
+    """One link of a table document, with "range" only when it exceeds the
+    largest symbol."""
     declared = f'\n      "range": {lk.range_size},' if lk.range_size > max(lk.symbols) else ""
     return (
         f'{{\n      "from": {lk.sender},{declared}\n      "symbols": {_array(list(map(str, lk.symbols)), 6)},\n'
@@ -180,8 +149,9 @@ def _link_text(lk: LinkTable) -> str:
 
 
 def _table_text(table: dict, histories: dict) -> str:
-    """_entries(table) as a step's or decision's "table" field. `histories`
-    caches the rendered text of each history, which many inputs share."""
+    """A step's or decision's "table" field: its (input, history) -> out
+    entries as a list sorted by key. `histories` caches the rendered text of
+    each history, which many inputs share."""
     for h in set(map(itemgetter(1), table)) - histories.keys():
         histories[h] = _array(list(map(str, h)), 10)
     # sorting the keys alone, not the items, halves the cost of the sort
@@ -192,8 +162,8 @@ def _table_text(table: dict, histories: dict) -> str:
 
 
 def dumps(p: Protocol) -> str:
-    """The text of p's file: json.dumps(protocol_to_doc(p), indent=2,
-    sort_keys=True) plus a newline, rendered from p without building the
+    """The text of p's file: json.dumps(doc, indent=2, sort_keys=True) plus
+    a newline for p's document, rendered from p without building the
     document. Each format string below is one level of the schema, its keys
     in sorted order and its indent spelled out."""
     if isinstance(p, TableProtocol):

@@ -11,10 +11,11 @@ from meqlab import (
     TableProtocol,
     Verdict,
     conflict_pairs,
-    protocol_to_doc,
     simulate,
     star_protocol,
+    strong_edge_color,
 )
+from meqlab.coloring import _is_canonical
 
 
 def dense_random_table(rng: random.Random, M: int) -> tuple[int, ...]:
@@ -162,7 +163,66 @@ def materialize_oracle(n, M, schedule, semantics, range_overrides=None) -> Gener
     return GeneralProtocol(n, M, tuple(steps), decisions)
 
 
+def _entries(table: dict) -> list:
+    """The list of entries of an (input, history) -> output table."""
+    return [{"input": x, "history": list(hist), "out": out} for (x, hist), out in sorted(table.items())]
+
+
+def protocol_to_doc(p) -> dict:
+    """The document of p's file, built as plain lists and dicts,
+    independent of `meqlab.serial.dumps`."""
+    if isinstance(p, TableProtocol):
+        links = []
+        for lk in p.links:
+            entry = {"from": lk.sender, "to": lk.receiver, "symbols": list(lk.symbols)}
+            if lk.range_size > max(lk.symbols):
+                entry["range"] = lk.range_size
+            links.append(entry)
+        return {"kind": "table", "n": p.n, "M": p.M, "links": links}
+    steps = [
+        {"from": st.sender, "to": st.receiver, "range": st.range_size, "table": _entries(st.table)}
+        for st in p.steps
+    ]
+    decisions = [{"node": node, "table": _entries(p.decisions[node])} for node in sorted(p.decisions)]
+    return {"kind": "general", "n": p.n, "M": p.M, "steps": steps, "decisions": decisions}
+
+
 def dumps_oracle(p) -> str:
     """The text of p's file as Python's json module lays out its document,
     independent of `meqlab.serial.dumps`."""
     return json.dumps(protocol_to_doc(p), indent=2, sort_keys=True) + "\n"
+
+
+def search_oracle(M: int):
+    """The exact three-node optimum by testing every canonical M-edge set
+    that itertools.combinations lists for a coloring, without pruning or a
+    budget, independent of `meqlab.coloring._edge_sets`. Returns the product,
+    the size triple, the rejected triples and the witness."""
+    candidates = sorted(
+        (
+            (a, b, c)
+            for a in range(1, M + 1)
+            for b in range(a, M + 1)
+            for c in range(b, M + 1)
+            if a * b >= M
+        ),
+        key=lambda t: (t[0] * t[1] * t[2], t),
+    )
+
+    infeasible = []
+    for a, b, c in candidates:
+        cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
+        row_perms = list(itertools.permutations(range(1, a + 1)))
+        witness = None
+        for combo in itertools.combinations(cells, M):
+            if not _is_canonical(combo, a, b, row_perms):
+                continue
+            inst = strong_edge_color(BipartiteRep(a, b, combo), c)
+            if inst is not None:
+                witness = inst
+                break
+        if witness is None:
+            infeasible.append((a, b, c))
+            continue
+        return a * b * c, (a, b, c), tuple(infeasible), witness
+    raise AssertionError("search space exhausted without a feasible triple")

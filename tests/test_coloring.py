@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +28,9 @@ from meqlab import (
     verify_ad,
 )
 
-from conftest import canonical_oracle, conflict_oracle, random_correct_protocol
+from conftest import canonical_oracle, conflict_oracle, random_correct_protocol, search_oracle
 from meqlab import coloring
-from meqlab.coloring import _is_canonical
+from meqlab.coloring import _edge_sets, _is_canonical
 
 
 def complete_grid(a: int, b: int) -> BipartiteRep:
@@ -364,7 +366,8 @@ def test_is_canonical_matches_oracle_on_random_edge_sets(case):
 
 
 # product, size triple, rejected triples, witness edges and colours, as
-# returned by the all-permutations search
+# returned by the all-permutations search (M <= 11) and by the search that
+# colours every canonical edge set of itertools.combinations (M = 12, 13)
 SEARCH_PINS = {
     7: (48, (3, 4, 4),
         ((3, 3, 3), (2, 4, 4), (3, 3, 4), (2, 4, 5), (3, 3, 5), (2, 4, 6)),
@@ -390,6 +393,22 @@ SEARCH_PINS = {
           (4, 4, 5), (2, 6, 7), (3, 4, 7), (3, 5, 6), (2, 6, 8), (3, 4, 8)),
          ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (3, 4), (4, 2), (4, 3)),
          (1, 2, 3, 4, 5, 3, 6, 5, 2, 6, 4)),
+    12: (96, (4, 4, 6),
+         ((3, 4, 4), (3, 4, 5), (4, 4, 4), (2, 6, 6), (3, 4, 6), (3, 5, 5),
+          (4, 4, 5), (2, 6, 7), (3, 4, 7), (3, 5, 6), (2, 6, 8), (3, 4, 8)),
+         ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (3, 4), (4, 2), (4, 3),
+          (4, 4)),
+         (1, 2, 3, 4, 5, 3, 6, 5, 2, 6, 4, 1)),
+    # the unpruned search, its budget lifted, took 96.6 s over 5,384,336
+    # edge sets to return this
+    13: (140, (4, 5, 7),
+         ((4, 4, 4), (3, 5, 5), (4, 4, 5), (3, 5, 6), (4, 4, 6), (2, 7, 7),
+          (4, 5, 5), (3, 5, 7), (3, 6, 6), (2, 7, 8), (4, 4, 7), (3, 5, 8),
+          (4, 5, 6), (5, 5, 5), (2, 7, 9), (3, 6, 7), (2, 8, 8), (4, 4, 8),
+          (3, 5, 9), (2, 7, 10)),
+         ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (3, 5),
+          (4, 2), (4, 3), (4, 5)),
+         (1, 2, 3, 4, 5, 6, 3, 7, 6, 2, 7, 5, 1)),
 }
 
 
@@ -404,27 +423,92 @@ def test_optimal_search_pins(M):
     assert result.witness.colors == colors
 
 
+@pytest.mark.parametrize("M", range(1, 13))
+def test_optimal_search_matches_the_unpruned_oracle(M):
+    product, sizes, infeasible, witness = search_oracle(M)
+    result = optimal_search(M)
+    assert result.product == product
+    assert (result.U_size, result.V_size, result.W_size) == sizes
+    assert result.infeasible == infeasible
+    assert result.witness.graph.edges == witness.graph.edges
+    assert result.witness.colors == witness.colors
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 4) for b in range(1, 6)])
+def test_edge_sets_are_the_canonical_sets_within_the_degree_bound(a, b):
+    # every (M, c): the generator's cuts drop exactly the non-canonical sets
+    # and those with an edge whose endpoints' degrees sum past c + 1
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    row_perms = list(itertools.permutations(range(1, a + 1)))
+    for M in range(1, a * b + 1):
+        canonical = [combo for combo in itertools.combinations(cells, M)
+                     if _is_canonical(combo, a, b, row_perms)]
+        for c in range(1, a + b + 1):
+            def fits(combo):
+                rows, cols = Counter(u for u, _ in combo), Counter(v for _, v in combo)
+                return all(rows[u] + cols[v] - 1 <= c for u, v in combo)
+
+            counts = {"nodes": 0, "degree_cuts": 0, "canonical_cuts": 0}
+            assert list(_edge_sets(a, b, c, M, counts, 10**9)) == list(filter(fits, canonical)), (M, c)
+
+
 @pytest.mark.parametrize(
-    "M, enumerated, skipped, colorings",
-    [(4, 3, 0, 3), (6, 31, 23, 8), (7, 218, 193, 25), (8, 711, 675, 36), (9, 1644, 1581, 63)],
+    "M, nodes, degree_cuts, canonical_cuts, colorings",
+    [(4, 11, 1, 0, 2), (6, 18, 9, 0, 2), (7, 106, 41, 53, 9), (8, 199, 61, 106, 19), (9, 172, 101, 70, 8)],
 )
-def test_optimal_search_counts(M, enumerated, skipped, colorings):
+def test_optimal_search_counts(M, nodes, degree_cuts, canonical_cuts, colorings):
     result = optimal_search(M, max_alphabet=9)
     assert [s.sizes for s in result.stats] == [
         *result.infeasible, (result.U_size, result.V_size, result.W_size)
     ]
-    assert sum(s.enumerated for s in result.stats) == enumerated
-    assert sum(s.skipped for s in result.stats) == skipped
+    assert sum(s.nodes for s in result.stats) == nodes
+    assert sum(s.degree_cuts for s in result.stats) == degree_cuts
+    assert sum(s.canonical_cuts for s in result.stats) == canonical_cuts
     assert sum(s.colorings for s in result.stats) == colorings
+
+
+def test_colorings_count_the_coloring_calls(monkeypatch):
+    calls = Counter()
+
+    def counted(g, W_size):
+        calls[g.U_size, g.V_size, W_size] += 1
+        return strong_edge_color(g, W_size)
+
+    monkeypatch.setattr(coloring, "strong_edge_color", counted)
+    for M in (4, 7, 10):
+        calls.clear()
+        stats = optimal_search(M).stats
+        assert calls == {s.sizes: s.colorings for s in stats if s.colorings}
+    calls.clear()
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_search(7, graph_budget=100)
+    assert calls == {s.sizes: s.colorings for s in info.value.stats if s.colorings}
+    assert calls.total() > 0
+
+
+def test_search_leaves_no_garbage_cycles():
+    # each size triple's generator must not outlive its search as a cycle
+    # that only the collector frees
+    optimal_search(3)
+    gc.collect()
+    for M in (4, 7, 10):
+        optimal_search(M)
+        assert gc.collect() == 0
+    with pytest.raises(SearchBudgetError):
+        optimal_search(9, graph_budget=50)
+    assert gc.collect() == 0
 
 
 def test_search_budget_error_carries_counts():
     with pytest.raises(SearchBudgetError) as info:
         optimal_search(7, graph_budget=100)
     stats = info.value.stats
-    assert sum(s.enumerated for s in stats) == 100
-    assert stats[-1].sizes == info.value.frontier[0]
-    assert [s.sizes for s in stats[:-1]] == list(optimal_search(7).infeasible[:len(stats) - 1])
+    # the budget runs out 8 nodes into the optimal triple, after 92 nodes
+    # decided the six rejected ones
+    assert sum(s.nodes for s in stats) == 100
+    assert stats[-1].sizes == info.value.frontier[0] == (3, 4, 4)
+    assert stats[-1].nodes == 8
+    assert [s.sizes for s in stats[:-1]] == list(optimal_search(7).infeasible)
     # the message names the triple the search stopped in, not the whole frontier
     with pytest.raises(SearchBudgetError) as info:
         optimal_search(13, max_alphabet=13, graph_budget=1)

@@ -17,7 +17,6 @@ from meqlab import (
     load_protocol,
     meq3_2k,
     protocol_from_doc,
-    protocol_to_doc,
     save_protocol,
     serial,
     star_protocol,
@@ -30,7 +29,7 @@ from meqlab.cli import run
 from meqlab.core import materialize
 from meqlab.serial import dumps
 
-from conftest import dumps_oracle, random_correct_protocol
+from conftest import dumps_oracle, protocol_to_doc, random_correct_protocol
 from test_rebuild_differential import random_rules
 from test_verify_differential import dense
 
@@ -47,7 +46,7 @@ from test_verify_differential import dense
     ids=["table36", "star", "binary-framed", "general", "wrapped"],
 )
 def test_round_trip_identity(protocol):
-    doc = json.loads(json.dumps(protocol_to_doc(protocol)))
+    doc = json.loads(dumps(protocol))
     assert protocol_from_doc(doc) == protocol
 
 
@@ -55,7 +54,7 @@ def test_round_trip_random_protocols():
     rng = random.Random(7)
     for _ in range(10):
         p = random_correct_protocol(rng, 4)
-        assert protocol_from_doc(protocol_to_doc(p)) == p
+        assert protocol_from_doc(json.loads(dumps(p))) == p
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,7 +143,7 @@ def test_dumps_matches_json_on_empty_parts(p):
 
 def test_declared_range_survives():
     p = meq3_2k(1)
-    doc = protocol_to_doc(p)
+    doc = json.loads(dumps(p))
     assert doc["links"][0]["range"] == 4
     assert protocol_from_doc(doc).links[0].range_size == 4
 
@@ -253,7 +252,7 @@ def test_unknown_kind_rejected():
     ],
 )
 def test_non_integer_fields_rejected(path, value):
-    doc = protocol_to_doc(table36())
+    doc = json.loads(dumps(table36()))
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -263,7 +262,7 @@ def test_non_integer_fields_rejected(path, value):
 
 
 def test_non_integer_general_entries_rejected():
-    doc = protocol_to_doc(table_to_general(table36()))
+    doc = json.loads(dumps(table_to_general(table36())))
     doc["steps"][0]["table"][0]["history"] = ["1"]
     with pytest.raises(ValueError):
         protocol_from_doc(doc)
@@ -283,7 +282,7 @@ def test_non_integer_general_entries_rejected():
     ],
 )
 def test_missing_field_named(protocol, path, message):
-    doc = protocol_to_doc(protocol)
+    doc = json.loads(dumps(protocol))
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -294,7 +293,7 @@ def test_missing_field_named(protocol, path, message):
 
 def test_repeated_decision_node_rejected():
     # a second node-3 decision that never flags would otherwise win silently
-    doc = protocol_to_doc(table_to_general(table36()))
+    doc = json.loads(dumps(table_to_general(table36())))
     silent = {"node": 3, "table": [dict(e, out=0) for e in doc["decisions"][2]["table"]]}
     doc["decisions"].append(silent)
     with pytest.raises(ValueError, match="decision node 3 appears more than once"):
@@ -310,7 +309,7 @@ def test_repeated_decision_node_rejected():
     ],
 )
 def test_repeated_table_entry_rejected(part, index, out, message):
-    doc = protocol_to_doc(table_to_general(table36()))
+    doc = json.loads(dumps(table_to_general(table36())))
     table = doc[part][index]["table"]
     # the copy sits last, so it is the one a plain load would keep
     table.append(dict(table[0], out=out))
