@@ -203,26 +203,27 @@ class OptimalResult:
     stats: tuple[TripleStats, ...] = ()
 
 
-def _is_canonical(combo: tuple[tuple[int, int], ...], a: int, b: int, row_perms) -> bool:
-    """Whether ``combo`` (sorted edges on an a x b grid) is the smallest of
-    its sorted relabellings under all row and column permutations.
+def _is_canonical(combo: tuple[tuple[int, int], ...], b: int) -> bool:
+    """Whether ``combo`` (sorted edges on a grid with b columns) is the
+    smallest of its sorted relabellings under all row and column permutations.
 
-    Only rows are permuted. Once the rows are relabelled, each row's block of
-    the sorted tuple has a fixed length and position, so the smallest tuple
-    over all column relabellings numbers the columns in order of their sorted
-    new-row lists, a column in an earlier row first (a list that ends sorts
-    after any continuation of it). Columns with equal lists are
-    interchangeable.
+    Rows are permuted only over 1..r, r = combo[-1][0] the largest used row:
+    after any relabelling, compressing the used rows R onto 1..|R| in order
+    lowers only first components and keeps the edges' order, so the minimum
+    is among permutations of 1..r. With the rows relabelled, each row's block
+    of the sorted tuple has a fixed length and position, so the smallest
+    tuple over all column relabellings numbers the columns in order of their
+    sorted new-row lists, a column in an earlier row first (a list that ends
+    sorts after any continuation of it). Equal lists are interchangeable.
     """
-    for rp in row_perms:
-        rows_of = [[] for _ in range(b)]
+    r = combo[-1][0] if combo else 0
+    for rp in itertools.permutations(range(1, r + 1)):
+        rows_of = {v: [] for v in range(1, b + 1)}
         for u, v in combo:
-            rows_of[v - 1].append(rp[u - 1])
-        order = sorted(range(b), key=lambda v: (*sorted(rows_of[v]), a + 1))
-        cp = [0] * b
-        for label, v in enumerate(order, 1):
-            cp[v] = label
-        if tuple(sorted((rp[u - 1], cp[v - 1]) for u, v in combo)) < combo:
+            rows_of[v].append(rp[u - 1])
+        order = sorted(rows_of, key=lambda v: (*sorted(rows_of[v]), r + 1))
+        cp = {v: label for label, v in enumerate(order, 1)}
+        if tuple(sorted((rp[u - 1], cp[v]) for u, v in combo)) < combo:
             return False
     return True
 
@@ -242,7 +243,6 @@ def _edge_sets(a: int, b: int, c: int, M: int, counts: dict, budget: int):
     complete set. ``counts`` gains the nodes extended and the prefixes each
     test cut; extending node budget + 1 raises _BudgetSpent."""
     cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
-    row_perms = list(itertools.permutations(range(1, a + 1)))
     row_deg, col_deg = [0] * (a + 1), [0] * (b + 1)
 
     def extend(prefix, start):
@@ -257,7 +257,7 @@ def _edge_sets(a: int, b: int, c: int, M: int, counts: dict, budget: int):
             if any(row_deg[x] + col_deg[y] - 1 > c for x, y in combo):
                 counts["degree_cuts"] += 1
             elif ((not prefix or prefix[-1][0] != u or len(combo) == M)
-                  and not _is_canonical(combo, a, b, row_perms)):
+                  and not _is_canonical(combo, b)):
                 counts["canonical_cuts"] += 1
             elif len(combo) == M:
                 yield combo
@@ -296,14 +296,12 @@ def optimal_search(
     triples = itertools.combinations_with_replacement(range(1, M + 1), 3)  # a <= b <= c
     candidates = sorted((t for t in triples if t[0] * t[1] >= M), key=lambda t: (math.prod(t), t))
 
-    work = 0
-    infeasible = []
-    stats = []
+    stats = []  # every triple tried before the feasible one is infeasible
     for pos, (a, b, c) in enumerate(candidates):
         counts = {"nodes": 0, "degree_cuts": 0, "canonical_cuts": 0, "colorings": 0}
         witness = None
         try:
-            for combo in _edge_sets(a, b, c, M, counts, graph_budget - work):
+            for combo in _edge_sets(a, b, c, M, counts, graph_budget - sum(s.nodes for s in stats)):
                 counts["colorings"] += 1
                 witness = strong_edge_color(BipartiteRep(a, b, combo), c)
                 if witness is not None:
@@ -311,12 +309,9 @@ def optimal_search(
         except _BudgetSpent:
             stats.append(TripleStats((a, b, c), **counts))
             raise SearchBudgetError(graph_budget, candidates[pos:], stats) from None
-        work += counts["nodes"]
         stats.append(TripleStats((a, b, c), **counts))
-        if witness is None:
-            infeasible.append((a, b, c))
-            continue
-        product = a * b * c
-        return OptimalResult(a, b, c, product, math.log2(product), witness, tuple(infeasible),
-                             tuple(stats))
+        if witness is not None:
+            product = a * b * c
+            infeasible = tuple(s.sizes for s in stats[:-1])
+            return OptimalResult(a, b, c, product, math.log2(product), witness, infeasible, tuple(stats))
     raise AssertionError("search space exhausted without a feasible triple")

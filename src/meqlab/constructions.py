@@ -3,12 +3,12 @@
 The six-value three-node protocol (27 symbol combinations instead of the
 obvious 36) is the seed; the other builders either widen it, run it once per
 digit of a vector encoding, or frame its symbols into fixed-width binary
-words. The integer formula for the binary construction and the scan of its
-crossover against the 2k-bit baseline live here too, as does the wrapper
-that turns any anyone-detects protocol into a centralized-detect one.
+words. The integer formula for the binary construction lives here too, as
+does the wrapper that turns any anyone-detects protocol into a
+centralized-detect one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import islice, product
 
 from .core import (
@@ -124,31 +124,6 @@ def complexity_formula_2k(k: int) -> int:
         raise ValueError("k must be at least 1")
     h = least_exponent(6, 2**k)
     return 3 * least_exponent(2, 3**h)
-
-
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Formula cost versus the 2k baseline for every k up to k_max.
-
-    `rows` holds (k, cost bits, 2k); `strict_ks` the k where cost < 2k.
-    """
-
-    k_max: int
-    rows: tuple[tuple[int, int, int], ...]
-    strict_ks: frozenset[int]
-
-
-def crossover_scan(k_max: int) -> CrossoverReport:
-    """Tabulate the binary construction against 2k and confirm it wins
-    strictly for every k from 40 to k_max."""
-    if k_max < 40:
-        raise ValueError("k_max must be at least 40")
-    rows = tuple((k, complexity_formula_2k(k), 2 * k) for k in range(1, k_max + 1))
-    strict = frozenset(k for k, cost, upper in rows if cost < upper)
-    violations = [k for k in range(40, k_max + 1) if k not in strict]
-    if violations:
-        raise AssertionError(f"cost fails to beat 2k at k={violations}")
-    return CrossoverReport(k_max, rows, strict)
 
 
 def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtocol:

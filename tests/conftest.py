@@ -212,10 +212,9 @@ def search_oracle(M: int):
     infeasible = []
     for a, b, c in candidates:
         cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
-        row_perms = list(itertools.permutations(range(1, a + 1)))
         witness = None
         for combo in itertools.combinations(cells, M):
-            if not _is_canonical(combo, a, b, row_perms):
+            if not _is_canonical(combo, b):
                 continue
             inst = strong_edge_color(BipartiteRep(a, b, combo), c)
             if inst is not None:

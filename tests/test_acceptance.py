@@ -5,6 +5,8 @@ enforces the stated tolerance and runtime. Randomized parts are seeded, so
 the whole suite is reproducible.
 """
 
+import contextlib
+import io
 import math
 import random
 import time
@@ -12,8 +14,6 @@ import time
 from meqlab import (
     cd_wrapper,
     complexity,
-    complexity_formula_2k,
-    crossover_scan,
     extended_table,
     flip_step,
     fooling_lower_bound,
@@ -30,6 +30,7 @@ from meqlab import (
     verify_cd,
 )
 from meqlab import LinkTable, TableProtocol, conflict_pairs, to_bipartite
+from meqlab.cli import run
 
 from conftest import random_correct_protocol
 
@@ -81,11 +82,16 @@ def test_criterion_2_exact_optima():
 
 def test_criterion_3_crossover():
     def body():
-        assert complexity_formula_2k(39) == 78 == 2 * 39
-        report = crossover_scan(1000)
-        assert set(range(40, 1001)) <= report.strict_ks
-        assert 39 not in report.strict_ks
-        for k, cost, _ in report.rows:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["figure", "--kmax", "1000"]) == 0
+        header, *lines = out.getvalue().splitlines()
+        assert header == "k,C,upper"
+        rows = [tuple(map(int, line.split(","))) for line in lines]
+        assert [k for k, _, _ in rows] == list(range(1, 1001))
+        assert rows[38] == (39, 78, 78)
+        assert all(cost < upper for _, cost, upper in rows[39:])
+        for k, cost, _ in rows:
             assert cost < 1.840 * k + 7.755
         return "cost meets 2k at k=39, beats it for all 40..1000, stays under 1.840k+7.755"
 

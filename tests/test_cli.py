@@ -106,6 +106,9 @@ def test_figure_rows(capsys):
     assert len(lines) == 61
     assert lines[40] == "40,78,80"
     assert lines[39] == "39,78,78"
+    # sporadic early wins, exactly these below the crossover at k=40
+    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    assert {k for k, cost, upper in rows[:39] if cost < upper} == {20, 23, 25, 28, 31, 32, 33, 35, 36, 37, 38}
 
 
 def test_figure_deterministic(capsys):

@@ -340,16 +340,16 @@ SMALL_GRIDS = [(1, b) for b in range(1, 7)] + [(2, b) for b in range(2, 6)] + [(
 @pytest.mark.parametrize("a, b", SMALL_GRIDS)
 def test_is_canonical_matches_oracle_on_every_edge_set(a, b):
     cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
-    row_perms = list(itertools.permutations(range(1, a + 1)))
     for k in range(len(cells) + 1):
         for combo in itertools.combinations(cells, k):
-            assert _is_canonical(combo, a, b, row_perms) == (canonical_oracle(combo, a, b) == combo)
+            assert _is_canonical(combo, b) == (canonical_oracle(combo, a, b) == combo)
 
 
 @st.composite
 def grid_edge_sets(draw):
-    a = draw(st.integers(1, 4))
-    b = draw(st.integers(1, 6))
+    # up to six rows, most of which a random set leaves unused
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 6 if a <= 4 else 4))
     cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
     chosen = draw(st.sets(st.sampled_from(cells)))
     return a, b, tuple(sorted(chosen))
@@ -359,10 +359,9 @@ def grid_edge_sets(draw):
 @given(grid_edge_sets())
 def test_is_canonical_matches_oracle_on_random_edge_sets(case):
     a, b, combo = case
-    row_perms = list(itertools.permutations(range(1, a + 1)))
     smallest = canonical_oracle(combo, a, b)
-    assert _is_canonical(combo, a, b, row_perms) == (smallest == combo)
-    assert _is_canonical(smallest, a, b, row_perms)
+    assert _is_canonical(combo, b) == (smallest == combo)
+    assert _is_canonical(smallest, b)
 
 
 # product, size triple, rejected triples, witness edges and colours, as
@@ -439,10 +438,8 @@ def test_edge_sets_are_the_canonical_sets_within_the_degree_bound(a, b):
     # every (M, c): the generator's cuts drop exactly the non-canonical sets
     # and those with an edge whose endpoints' degrees sum past c + 1
     cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
-    row_perms = list(itertools.permutations(range(1, a + 1)))
     for M in range(1, a * b + 1):
-        canonical = [combo for combo in itertools.combinations(cells, M)
-                     if _is_canonical(combo, a, b, row_perms)]
+        canonical = [combo for combo in itertools.combinations(cells, M) if _is_canonical(combo, b)]
         for c in range(1, a + b + 1):
             def fits(combo):
                 rows, cols = Counter(u for u, _ in combo), Counter(v for _, v in combo)
@@ -516,3 +513,23 @@ def test_search_budget_error_carries_counts():
     assert str(info.value) == (
         f"graph budget 1 exhausted in size triple {info.value.frontier[0]}; 294 size triples undecided"
     )
+
+
+def test_search_budget_bounds_the_row_permutations(monkeypatch):
+    # the canonicity test may draw row permutations only for nodes the budget
+    # allows; M=100 opens on the 10 x 10 grid, whose 10! would not fit
+    drawn = Counter()
+    permutations = itertools.permutations
+
+    def counted(*args):
+        for perm in permutations(*args):
+            drawn["perms"] += 1
+            if drawn["perms"] > 1000:
+                raise AssertionError("more than 1,000 row permutations drawn")
+            yield perm
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_search(100, graph_budget=1)
+    assert info.value.frontier[0] == (10, 10, 10)
+    assert info.value.stats[-1].nodes == 1

@@ -7,7 +7,6 @@ from meqlab import (
     cd_wrapper,
     complexity,
     complexity_formula_2k,
-    crossover_scan,
     extended_table,
     meq3_2k,
     parallel_compose,
@@ -162,21 +161,6 @@ def test_formula_values():
     # the k=40 cost comes from 16 base-6 digits packed into 26 bits per link
     assert least_exponent(6, 2**40) == 16
     assert least_exponent(2, 3**16) == 26
-
-
-def test_crossover_scan():
-    report = crossover_scan(100)
-    assert len(report.rows) == 100
-    assert report.rows[39] == (40, 78, 80)
-    assert 39 not in report.strict_ks
-    assert set(range(40, 101)) <= report.strict_ks
-    # sporadic early wins, exactly these below the crossover
-    assert report.strict_ks & set(range(1, 40)) == {20, 23, 25, 28, 31, 32, 33, 35, 36, 37, 38}
-
-
-def test_crossover_scan_rejects_small_kmax():
-    with pytest.raises(ValueError):
-        crossover_scan(39)
 
 
 def test_cd_wrapper_adds_one_bit_at_n3():
