@@ -163,6 +163,16 @@ def test_formula_values():
     assert least_exponent(2, 3**16) == 26
 
 
+def test_crossover_scan():
+    # the formula is the only source of meqlab figure's rows
+    strict_ks = {k for k in range(1, 101) if complexity_formula_2k(k) < 2 * k}
+    assert complexity_formula_2k(40) == 78
+    assert 39 not in strict_ks
+    assert set(range(40, 101)) <= strict_ks
+    # sporadic early wins, exactly these below the crossover
+    assert strict_ks & set(range(1, 40)) == {20, 23, 25, 28, 31, 32, 33, 35, 36, 37, 38}
+
+
 def test_cd_wrapper_adds_one_bit_at_n3():
     wrapped = cd_wrapper(table36())
     base = complexity(table36())
