@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import TableProtocol, check_size, dense_link
+from .core import TableProtocol, check_int, check_size, dense_link
 from .verify import _agreeing_input, _smallest_join
 
 
@@ -42,11 +42,12 @@ class BipartiteRep:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if self.U_size < 1 or self.V_size < 1:
+        if check_int(self.U_size, "U_size") < 1 or check_int(self.V_size, "V_size") < 1:
             raise ValueError("vertex classes must be nonempty")
         seen = {}
         for x, (u, v) in enumerate(self.edges, 1):
-            if not (1 <= u <= self.U_size and 1 <= v <= self.V_size):
+            if not (1 <= check_int(u, "edge endpoint") <= self.U_size
+                    and 1 <= check_int(v, "edge endpoint") <= self.V_size):
                 raise ValueError(f"edge {x} endpoint ({u},{v}) out of range")
             if (u, v) in seen:
                 raise EdgeCollisionError(seen[(u, v)], x)
@@ -106,7 +107,7 @@ class ColoringInstance:
         if len(self.colors) != self.graph.M:
             raise ValueError(f"{len(self.colors)} colors for {self.graph.M} edges")
         for c in self.colors:
-            if c < 1:
+            if check_int(c, "color") < 1:
                 raise ValueError(f"color {c} must be positive")
         if self.graph.M:  # a table protocol needs at least one input
             t = protocol_from_coloring(self)
@@ -131,7 +132,7 @@ def strong_edge_color(g: BipartiteRep, W_size: int) -> ColoringInstance | None:
     coloring puts none above x on edge x. The join skips constant inputs,
     so a graph with no conflict pair gets the all-ones coloring directly.
     It scans `conflict_pairs` once; ColoringInstance checks the result."""
-    if W_size < 1:
+    if check_int(W_size, "W_size") < 1:
         raise ValueError("W_size must be positive")
     pairs = conflict_pairs(g)
     if not pairs:

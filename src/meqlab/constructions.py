@@ -15,8 +15,8 @@ from .core import (
     GeneralProtocol,
     LinkTable,
     TableProtocol,
+    check_int,
     dense_link,
-    link_ranges,
     materialize,
     rules,
 )
@@ -25,7 +25,7 @@ from .verify import DEFAULT_BUDGET, verify_ad
 
 def star_protocol(n: int, M: int) -> TableProtocol:
     """Everyone sends their raw value to the last node, which compares."""
-    identity = tuple(range(1, M + 1))
+    identity = tuple(range(1, check_int(M, "M") + 1))
     links = tuple(LinkTable(i, n, identity) for i in range(1, n))
     return TableProtocol(n, M, links)
 
@@ -51,7 +51,7 @@ def extended_table(h: int) -> TableProtocol:
     one with wraparound, third link cycles three symbols. Reduces to
     table36() at h=1; costs (M/2) * (M/2) * 3 symbol combinations.
     """
-    if h < 1:
+    if check_int(h, "h") < 1:
         raise ValueError("h must be at least 1")
     M = 6**h
     half = M // 2
@@ -88,7 +88,7 @@ def parallel_compose(base: TableProtocol, M: int) -> TableProtocol:
     """
     if not isinstance(base, TableProtocol):
         raise ValueError("parallel_compose expects a table-kind protocol")
-    h = least_exponent(base.M, M)
+    h = least_exponent(base.M, check_int(M, "M"))
     # product runs over table positions, so its first M tuples are the
     # link's symbols on the digit vectors of 1..M in order
     links = [
@@ -120,7 +120,7 @@ def complexity_formula_2k(k: int) -> int:
     k=39, where the cost equals the 2k baseline exactly) float rounding
     would corrupt the staircase.
     """
-    if k < 1:
+    if check_int(k, "k") < 1:
         raise ValueError("k must be at least 1")
     h = least_exponent(6, 2**k)
     return 3 * least_exponent(2, 3**h)
@@ -147,7 +147,7 @@ def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtoco
     schedule, link_send, link_decide = rules(p)
     schedule += [(i, p.n) for i in reporters]
     base = len(p.links)
-    overrides = {**link_ranges(p), **{base + k: 2 for k in range(1, len(reporters) + 1)}}
+    ranges = [lk.range_size for lk in p.links] + [2] * len(reporters)
 
     def send(l, x, h):
         return link_send(l, x, h) if l < base else link_decide(reporters[l - base], x, h) + 1
@@ -156,4 +156,4 @@ def cd_wrapper(p: TableProtocol, budget: int = DEFAULT_BUDGET) -> GeneralProtoco
         # node n's history ends with the reported bits plus one, which link_decide ignores
         return int(link_decide(node, x, h) or (node == p.n and 2 in h[len(h) - len(reporters):]))
 
-    return materialize(p.n, p.M, schedule, send, decide, overrides)
+    return materialize(p.n, p.M, schedule, send, decide, ranges)

@@ -80,9 +80,7 @@ class Step:
         for key, sym in self.table.items():
             if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], tuple)):
                 raise ValueError(f"table key {key!r} is not (input, history)")
-            if type(sym) is not int:
-                raise ValueError(f"symbol must be an integer, got {sym!r}")
-            if not 1 <= sym <= self.range_size:
+            if not 1 <= check_int(sym, "symbol") <= self.range_size:
                 raise ValueError(f"symbol {sym} outside 1..{self.range_size}")
 
 
@@ -135,10 +133,7 @@ class LinkTable:
             raise ValueError("sender and receiver must differ")
         if not self.symbols:
             raise ValueError("empty symbol table")
-        for sym in self.symbols:
-            if type(sym) is not int:
-                raise ValueError(f"symbol must be an integer, got {sym!r}")
-        top = max(self.symbols)
+        top = max(check_int(sym, "symbol") for sym in self.symbols)
         if set(self.symbols) != set(range(1, top + 1)):
             raise ValueError(f"symbols {sorted(set(self.symbols))} are not a dense 1..{top} range")
         if self.range_size == 0:
@@ -207,7 +202,7 @@ def _check_vector(p: Protocol, v) -> tuple[int, ...]:
     if len(values) != p.n:
         raise ValueError(f"{len(values)} inputs for {p.n} nodes")
     for x in values:
-        if not 1 <= x <= p.M:
+        if not 1 <= check_int(x, "input") <= p.M:
             raise ValueError(f"input {x} outside 1..{p.M}")
     return values
 
@@ -303,11 +298,6 @@ def dense_link(sender: int, receiver: int, keys) -> LinkTable:
     return LinkTable(sender, receiver, tuple(rank[k] for k in keys))
 
 
-def link_ranges(t: TableProtocol) -> dict[int, int]:
-    """Declared range of every link, keyed by its 1-based step index."""
-    return {index: lk.range_size for index, lk in enumerate(t.links, 1)}
-
-
 def rectangles(n: int, M: int, schedule: list[tuple[int, int]], send) -> Iterator:
     """Leaves of the transcript tree: (sets, histories) per leaf.
 
@@ -347,10 +337,15 @@ def decided_rectangles(p: GeneralProtocol) -> Iterator:
         yield sets, [[decide(node, x, h) for x in xs] for node, (xs, h) in nodes]
 
 
-def check_entries(p: GeneralProtocol) -> None:
-    """Raise MalformedProtocolError if p lacks a reachable table or decision entry."""
+def checked(p: Protocol) -> GeneralProtocol:
+    """p in general form with every reachable table and decision entry
+    present, else MalformedProtocolError. A table protocol's expansion has
+    every entry by construction; a general one is walked once."""
+    if isinstance(p, TableProtocol):
+        return table_to_general(p)
     for _ in decided_rectangles(p):
         pass
+    return p
 
 
 def materialize(
@@ -359,7 +354,7 @@ def materialize(
     schedule: list[tuple[int, int]],
     send,
     decide,
-    range_overrides: dict[int, int] | None = None,
+    ranges: list[int] | None = None,
 ) -> GeneralProtocol:
     """Rebuild dense lookup tables for a protocol given node-local rules.
 
@@ -370,9 +365,12 @@ def materialize(
     values and history keys alike; a table whose symbols are all dense
     already is kept as built.
 
-    `range_overrides` maps 1-based step indexes to a declared range_size
-    (for fixed-width framing); Step rejects one below the realized count.
+    `ranges`, if given, holds one declared range_size per step in schedule
+    order (for fixed-width framing), in place of the realized counts; Step
+    rejects one below the realized count.
     """
+    if ranges is not None and len(ranges) != len(schedule):
+        raise ValueError(f"{len(ranges)} ranges for {len(schedule)} steps")
     tables = [{} for _ in schedule]
 
     def record(l, x, h):
@@ -406,7 +404,7 @@ def materialize(
 
     steps = []
     for l, (sender, receiver) in enumerate(schedule):
-        size = (range_overrides or {}).get(l + 1, len(remaps[l]))
+        size = len(remaps[l]) if ranges is None else ranges[l]
         table = renumber(sender, tables[l], None if dense[l] else remaps[l])
         steps.append(placed(f"step {l + 1}", Step, sender, receiver, table, size))
     decision_tables = {node: renumber(node, table, None) for node, table in decision_tables.items()}
@@ -422,7 +420,7 @@ def table_to_general(t: TableProtocol) -> GeneralProtocol:
     """
     if not isinstance(t, TableProtocol):
         raise ValueError("table_to_general expects a table-kind protocol")
-    return materialize(t.n, t.M, *rules(t), link_ranges(t))
+    return materialize(t.n, t.M, *rules(t), [lk.range_size for lk in t.links])
 
 
 def tighten(p: GeneralProtocol) -> GeneralProtocol:

@@ -16,18 +16,18 @@ from .core import (
     GeneralProtocol,
     Protocol,
     TableProtocol,
-    check_entries,
+    check_int,
+    checked,
     dense_link,
     materialize,
     simulate,
-    table_to_general,
 )
 
 
 def expected_symbol(p: Protocol, step_index: int, x: int) -> int:
     """Symbol sent at the given step when every node's input is x."""
     length = len(p.links) if isinstance(p, TableProtocol) else len(p.steps)
-    if not 1 <= step_index <= length:
+    if not 1 <= check_int(step_index, "step index") <= length:
         raise ValueError(f"step index {step_index} outside 1..{length}")
     return simulate(p, (x,) * p.n).symbols[step_index - 1]
 
@@ -42,16 +42,15 @@ def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
     expectation differs from what T would have sent. All ranges are
     recomputed afterward.
 
-    A table protocol is expanded with `table_to_general` first. p is then
-    checked for missing reachable entries (MalformedProtocolError).
-    After that, a p-history the rules cannot look up arises only on inputs
-    where T flags: those are not all equal, so the smallest symbol of the
-    step, or decision 1, keeps the protocol correct there.
+    p is first brought to general form by `core.checked`, which raises
+    MalformedProtocolError on a missing reachable entry. After that, a
+    p-history the rules cannot look up arises only on inputs where T flags:
+    those are not all equal, so the smallest symbol of the step, or
+    decision 1, keeps the protocol correct there.
     """
-    p = table_to_general(p) if isinstance(p, TableProtocol) else p
-    if not 1 <= step_index <= len(p.steps):
+    p = checked(p)
+    if not 1 <= check_int(step_index, "step index") <= len(p.steps):
         raise ValueError(f"step index {step_index} outside 1..{len(p.steps)}")
-    check_entries(p)
     l0 = step_index - 1
     t_node, r_node = p.steps[l0].sender, p.steps[l0].receiver
     expected = {x: expected_symbol(p, step_index, x) for x in range(1, p.M + 1)}
@@ -97,12 +96,11 @@ def make_iid(p: Protocol) -> TableProtocol:
     values. Receivers detect by comparing arrivals against their own
     expectations, which is exactly the TableProtocol semantics.
 
-    A table protocol is expanded with `table_to_general` first. Then one
-    walk over p's transcript rectangles checks it, so a protocol missing a
-    reachable table or decision entry raises MalformedProtocolError.
+    p is first brought to general form by `core.checked`, so a protocol
+    missing a reachable table or decision entry raises
+    MalformedProtocolError.
     """
-    p = table_to_general(p) if isinstance(p, TableProtocol) else p
-    check_entries(p)
+    p = checked(p)
     runs = [simulate(p, (x,) * p.n).symbols for x in range(1, p.M + 1)]
 
     by_link: dict[tuple[int, int], list[int]] = {}

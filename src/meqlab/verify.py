@@ -25,6 +25,7 @@ from .core import (
     GeneralProtocol,
     Protocol,
     TableProtocol,
+    check_int,
     check_size,
     decided_rectangles,
     simulate,
@@ -74,7 +75,7 @@ class Verdict:
 def _check_budget(p: Protocol, budget: int) -> int:
     # counting 2**n at M=1 bounds n, which the search still pays for per node;
     # m**k with m >= 2 passes any budget below 2**k, so m**n is never built in full
-    if max(p.M, 2) ** min(p.n, budget.bit_length() + 1) > budget:
+    if max(p.M, 2) ** min(p.n, check_int(budget, "budget").bit_length() + 1) > budget:
         raise EnumerationBudgetError(p.n, p.M, budget)
     return p.M**p.n
 
@@ -209,7 +210,7 @@ def verify_cd(p: Protocol, detector: int | None = None, budget: int = DEFAULT_BU
     Other nodes' decisions are unconstrained. `detector` defaults to node n.
     """
     node = p.n if detector is None else detector
-    if not 1 <= node <= p.n:
+    if not 1 <= check_int(node, "detector") <= p.n:
         raise ValueError(f"detector {node} outside 1..{p.n}")
     return _decide(p, _check_budget(p, budget), {node})
 

@@ -119,7 +119,7 @@ def conflict_oracle(g: BipartiteRep) -> frozenset[tuple[int, int]]:
     )
 
 
-def materialize_oracle(n, M, schedule, semantics, range_overrides=None) -> GeneralProtocol:
+def materialize_oracle(n, M, schedule, semantics, ranges=None) -> GeneralProtocol:
     """Dense tables rebuilt by replaying `semantics(values) -> (symbols,
     decisions)` on every input in lexicographic order, independent of
     `meqlab.core.materialize`.
@@ -127,7 +127,8 @@ def materialize_oracle(n, M, schedule, semantics, range_overrides=None) -> Gener
     Tables are keyed by the reachable (input, history) pairs of the symbols
     as returned; a key met twice with different outputs raises. The realized
     symbols of each step are then ranked 1..S, in table values and history
-    keys alike.
+    keys alike. `ranges`, if given, declares each step's range in schedule
+    order instead.
     """
     tables = [{} for _ in schedule]
     decision_tables = {node: {} for node in range(1, n + 1)}
@@ -153,7 +154,7 @@ def materialize_oracle(n, M, schedule, semantics, range_overrides=None) -> Gener
 
     steps = []
     for l, (sender, receiver) in enumerate(schedule):
-        size = (range_overrides or {}).get(l + 1, len(ranks[l]))
+        size = len(ranks[l]) if ranges is None else ranges[l]
         table = {renumber(sender, key): ranks[l][sym] for key, sym in tables[l].items()}
         steps.append(Step(sender, receiver, table, size))
     decisions = {

@@ -139,6 +139,13 @@ def test_conflicts_match_oracle_on_random_edge_sets(g):
         (lambda: to_bipartite(TableProtocol(2, 1, ())), "bipartite view is defined for three-node protocols"),
         (lambda: ColoringInstance(BipartiteRep(1, 1, ((1, 1),)), (0,)), "color 0 must be positive"),
         (lambda: strong_edge_color(BipartiteRep(1, 1, ((1, 1),)), 0), "W_size must be positive"),
+        (lambda: BipartiteRep(2.5, 1, ()), "U_size must be an integer, got 2.5"),
+        (lambda: BipartiteRep(2, True, ()), "V_size must be an integer, got True"),
+        (lambda: BipartiteRep(2, 1, ((1, 1), (2.0, 1))), "edge endpoint must be an integer, got 2.0"),
+        (lambda: ColoringInstance(BipartiteRep(2, 1, ((1, 1), (2, 1))), (1.5, 3)),
+         "color must be an integer, got 1.5"),
+        (lambda: strong_edge_color(BipartiteRep(2, 1, ((1, 1), (2, 1))), 2.5),
+         "W_size must be an integer, got 2.5"),
     ],
 )
 def test_bipartite_arguments_rejected(build, message):

@@ -98,6 +98,23 @@ def test_binary_construction_rejects_k_below_one(build):
         build(0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # a fractional k passes the k >= 1 test, and 2.5 would be costed as k=3
+        (lambda: complexity_formula_2k(2.5), "k must be an integer, got 2.5"),
+        (lambda: meq3_2k(True), "k must be an integer, got True"),
+        (lambda: extended_table(1.5), "h must be an integer, got 1.5"),
+        (lambda: parallel_compose(table36(), 2.5), "M must be an integer, got 2.5"),
+        (lambda: star_protocol(3, 2.5), "M must be an integer, got 2.5"),
+    ],
+)
+def test_family_sizes_must_be_integers(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_parallel_compose_h1_is_base():
     assert parallel_compose(table36(), 6) == table36()
 

@@ -70,6 +70,12 @@ def test_simulate_rejects_mismatched_vectors():
         simulate(table36(), (1, 2, 7))
 
 
+@pytest.mark.parametrize("x", [2.5, True])
+def test_simulate_inputs_must_be_integers(x):
+    with pytest.raises(ValueError, match=f"^input must be an integer, got {x}$"):
+        simulate(table36(), (1, x, 1))
+
+
 def test_missing_step_entry_is_malformed():
     step = Step(1, 2, {(1, ()): 1}, 1)
     p = GeneralProtocol(2, 2, (step,))
@@ -223,7 +229,13 @@ def test_rectangle_leaves_partition_the_inputs():
 def test_materialize_rejects_override_below_realized():
     # step 1 of table36 realizes three symbols
     with pytest.raises(ValueError, match="^step 1: symbol 3 outside 1..2$"):
-        materialize(3, 6, *rules(table36()), {1: 2})
+        materialize(3, 6, *rules(table36()), [2, 3, 3])
+
+
+@pytest.mark.parametrize("ranges", [[], [3, 3], [3, 3, 3, 2]])
+def test_materialize_takes_one_range_per_step(ranges):
+    with pytest.raises(ValueError, match=f"^{len(ranges)} ranges for 3 steps$"):
+        materialize(3, 6, *rules(table36()), ranges)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from meqlab import (
     table_to_general,
     tighten,
 )
-from meqlab.core import link_ranges, materialize
+from meqlab.core import materialize
 
 from conftest import materialize_oracle, random_correct_protocol
 from test_transforms import relay_protocol
@@ -37,7 +37,7 @@ def oracle_table_to_general(t):
         return transcript.symbols, transcript.decisions
 
     return materialize_oracle(t.n, t.M, [(lk.sender, lk.receiver) for lk in t.links], semantics,
-                              link_ranges(t))
+                              [lk.range_size for lk in t.links])
 
 
 def oracle_tighten(p):
@@ -92,9 +92,7 @@ def oracle_flip(p, step_index):
 def oracle_cd_wrapper(t):
     reporters = list(range(2, t.n))
     schedule = [(lk.sender, lk.receiver) for lk in t.links] + [(i, t.n) for i in reporters]
-    overrides = link_ranges(t)
-    for offset in range(len(reporters)):
-        overrides[len(t.links) + offset + 1] = 2
+    ranges = [lk.range_size for lk in t.links] + [2] * len(reporters)
 
     def semantics(values):
         transcript = simulate(t, values)
@@ -103,7 +101,7 @@ def oracle_cd_wrapper(t):
         decisions[-1] = max(decisions)
         return list(transcript.symbols) + bits, decisions
 
-    return materialize_oracle(t.n, t.M, schedule, semantics, overrides)
+    return materialize_oracle(t.n, t.M, schedule, semantics, ranges)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

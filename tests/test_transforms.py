@@ -24,6 +24,7 @@ from meqlab import (
     table_to_general,
     verify_ad,
 )
+from meqlab import core
 from meqlab.core import materialize
 from meqlab.serial import dumps
 
@@ -61,6 +62,13 @@ def test_expected_symbol_validation():
 def test_flip_step_index_validation(index):
     with pytest.raises(ValueError, match=f"step index {index} outside 1..3"):
         flip_step(table_to_general(table36()), index)
+
+
+@pytest.mark.parametrize("index", [1.5, True])
+@pytest.mark.parametrize("call", [flip_step, lambda g, index: expected_symbol(g, index, 1)])
+def test_step_index_must_be_an_integer(call, index):
+    with pytest.raises(ValueError, match=f"^step index must be an integer, got {index}$"):
+        call(table_to_general(table36()), index)
 
 
 def test_flip_without_decision_table_decides_zero():
@@ -298,6 +306,17 @@ def without_entry(p, node, key):
     decisions = dict(p.decisions)
     decisions[node] = {k: bit for k, bit in p.decisions[node].items() if k != key}
     return GeneralProtocol(p.n, p.M, p.steps, decisions)
+
+
+@pytest.mark.parametrize("rewrite", [lambda p: flip_step(p, 2), make_iid])
+def test_rewrites_walk_a_general_input_once_and_a_table_never(rewrite, monkeypatch):
+    # a table protocol's expansion has every reachable entry by construction
+    walks = []
+    walk = core.decided_rectangles
+    monkeypatch.setattr(core, "decided_rectangles", lambda p: walks.append(p) or walk(p))
+    g = table_to_general(table36())
+    assert rewrite(table36()) == rewrite(g)
+    assert walks == [g]
 
 
 def test_missing_reachable_entry_raises():

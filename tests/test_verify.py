@@ -85,6 +85,19 @@ def test_detector_validation():
         verify_cd(table36(), detector=4)
 
 
+@pytest.mark.parametrize("detector", [2.5, True])
+def test_detector_must_be_an_integer(detector):
+    # 2.5 lies in 1..3 but names no node, so no decision would be checked
+    with pytest.raises(ValueError, match=f"^detector must be an integer, got {detector}$"):
+        verify_cd(cd_wrapper(table36()), detector)
+
+
+@pytest.mark.parametrize("check", [verify_ad, verify_cd])
+def test_budget_must_be_an_integer(check):
+    with pytest.raises(ValueError, match="^budget must be an integer, got 1.5$"):
+        check(table36(), budget=1.5)
+
+
 def test_star_join_is_pruned():
     # forward checking leaves each sender one value per collector input, so
     # 100**4 vectors are decided in at most 4*100 partial assignments
