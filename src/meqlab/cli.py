@@ -30,45 +30,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(only: str | None = None) -> _Parser:
+    """The meqlab parser, with every subcommand or only the one named `only`."""
     parser = _Parser(prog="meqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="write a stock protocol to a file")
-    build.add_argument("what", choices=["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"])
-    build.add_argument("base", nargs="?", help="base protocol file (cdwrap only)")
-    build.add_argument("--n", type=int, default=3)
-    build.add_argument("--M", type=int, default=6)
-    build.add_argument("--k", type=int, default=1)
-    build.add_argument("--h", type=int, default=1)
-    build.add_argument("--budget", type=int, default=None, help="enumeration budget (cdwrap only)")
-    build.add_argument("--out", required=True)
+    def add(name, help, **kwargs):
+        return sub.add_parser(name, help=help, **kwargs) if only in (None, name) else None
 
-    sim = sub.add_parser("simulate", help="replay a protocol on one input vector")
-    sim.add_argument("file")
-    sim.add_argument("--x", required=True, help="comma-separated inputs, e.g. 1,2,1")
+    # build's options stay absent unless given: _cmd_build refuses those its builder never reads
+    if build := add("build", "write a stock protocol to a file", argument_default=argparse.SUPPRESS):
+        build.add_argument("what", choices=["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"])
+        build.add_argument("base", nargs="?", help="base protocol file (cdwrap only)")
+        build.add_argument("--n", type=int)
+        build.add_argument("--M", type=int)
+        build.add_argument("--k", type=int)
+        build.add_argument("--h", type=int)
+        build.add_argument("--budget", type=int, help="enumeration budget (cdwrap only)")
+        build.add_argument("--out", required=True)
 
-    ver = sub.add_parser("verify", help="exhaustively check a protocol file")
-    ver.add_argument("file")
-    mode = ver.add_mutually_exclusive_group()
-    mode.add_argument("--ad", action="store_true", help="anyone-detects contract (default)")
-    mode.add_argument("--cd", action="store_true", help="centralized-detect contract")
-    ver.add_argument("--detector", type=int, default=None)
-    ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    if sim := add("simulate", "replay a protocol on one input vector"):
+        sim.add_argument("file")
+        sim.add_argument("--x", required=True, help="comma-separated inputs, e.g. 1,2,1")
 
-    tra = sub.add_parser("transform", help="rewrite a protocol file")
-    tra.add_argument("file")
-    op = tra.add_mutually_exclusive_group(required=True)
-    op.add_argument("--flip", type=int, metavar="L", help="reverse step L")
-    op.add_argument("--iid", action="store_true", help="normalize to per-link tables")
-    tra.add_argument("--out", required=True)
+    if ver := add("verify", "exhaustively check a protocol file"):
+        ver.add_argument("file")
+        mode = ver.add_mutually_exclusive_group()
+        mode.add_argument("--ad", action="store_true", help="anyone-detects contract (default)")
+        mode.add_argument("--cd", action="store_true", help="centralized-detect contract")
+        ver.add_argument("--detector", type=int, default=None)
+        ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    sea = sub.add_parser("search", help="exact three-node optimum for alphabet size M")
-    sea.add_argument("--M", type=int, required=True)
-    sea.add_argument("--out", default=None, help="write the witness protocol here")
+    if tra := add("transform", "rewrite a protocol file"):
+        tra.add_argument("file")
+        op = tra.add_mutually_exclusive_group(required=True)
+        op.add_argument("--flip", type=int, metavar="L", help="reverse step L")
+        op.add_argument("--iid", action="store_true", help="normalize to per-link tables")
+        tra.add_argument("--out", required=True)
 
-    fig = sub.add_parser("figure", help="CSV of binary-construction cost vs the 2k baseline")
-    fig.add_argument("--kmax", type=int, required=True)
+    if sea := add("search", "exact three-node optimum for alphabet size M"):
+        sea.add_argument("--M", type=int, required=True)
+        sea.add_argument("--out", default=None, help="write the witness protocol here")
+
+    if fig := add("figure", "CSV of binary-construction cost vs the 2k baseline"):
+        fig.add_argument("--kmax", type=int, required=True)
     return parser
 
 
@@ -80,8 +85,13 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _cmd_build(args) -> int:
-    if args.budget is not None and args.what != "cdwrap":
-        raise _UsageError("--budget applies only to build cdwrap")
+    readers = {"--budget": ("cdwrap",), "base": ("cdwrap",), "--n": ("star",), "--M": ("star",),
+               "--k": ("bin2k",), "--h": ("ext6h", "par6h")}
+    for option, builders in readers.items():
+        if option.lstrip("-") in vars(args) and args.what not in builders:
+            raise _UsageError(f"{option} applies only to build {' or '.join(builders)}")
+    defaults = {"base": None, "n": 3, "M": 6, "k": 1, "h": 1, "budget": DEFAULT_BUDGET}
+    args = argparse.Namespace(**{**defaults, **vars(args)})
     if args.what == "star":
         p = constructions.star_protocol(args.n, args.M)
     elif args.what == "table36":
@@ -100,7 +110,7 @@ def _cmd_build(args) -> int:
         base = serial.load_protocol(args.base)
         if not isinstance(base, TableProtocol):
             raise _UsageError("cdwrap expects a table-kind protocol file")
-        p = constructions.cd_wrapper(base, DEFAULT_BUDGET if args.budget is None else args.budget)
+        p = constructions.cd_wrapper(base, args.budget)
     serial.save_protocol(p, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -172,7 +182,7 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         budget = getattr(args, "budget", None)  # only build and verify take a budget

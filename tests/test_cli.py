@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from meqlab import LinkTable, TableProtocol, load_protocol, save_protocol, table36, table_to_general
+from meqlab import LinkTable, TableProtocol, cli, load_protocol, save_protocol, table36, table_to_general
 from meqlab.cli import run
 
 
@@ -150,6 +151,9 @@ def test_build_and_simulate(tmp_path, capsys):
 def test_build_variants(tmp_path):
     for args, M in (
         (["build", "table36"], 6),
+        (["build", "star"], 6),
+        (["build", "ext6h"], 6),
+        (["build", "bin2k"], 2),
         (["build", "ext6h", "--h", "2"], 36),
         (["build", "par6h", "--h", "2"], 36),
         (["build", "bin2k", "--k", "3"], 8),
@@ -336,3 +340,102 @@ def test_budget_bounds_n_at_one_value(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "budget exceeded: 2**10000000 (n=10000000 nodes at M=1) exceed budget 100000000\n"
     )
+
+
+_DIFFERENTIAL_ARGV = [
+    ["build", "star", "--n", "4", "--M", "3", "--out", "s.json"],
+    ["build", "table36"],
+    ["build", "star", "--M", "six", "--out", "s.json"],
+    ["build", "table36", "--bogus", "--out", "t.json"],
+    ["build", "cdwrap", "t.json", "--ou", "c.json", "--bud", "7"],
+    ["build", "-h"],
+    ["simulate", "t.json", "--x", "1,2,1"],
+    ["simulate", "t.json"],
+    ["simulate", "t.json", "--x", "1", "--y"],
+    ["simulate", "t.json", "u.json", "--x", "1"],
+    ["simulate", "-h"],
+    ["verify", "--cd", "t.json", "--detector", "2"],
+    ["verify", "--ad"],
+    ["verify", "--ad", "--cd", "t.json"],
+    ["verify", "t.json", "--budget", "many"],
+    ["verify", "t.json", "--budget", "0"],
+    ["verify", "t.json", "--zz"],
+    ["verify", "t.json", "--de", "2", "--c"],
+    ["verify", "t.json", "build"],
+    ["verify", "-h"],
+    ["transform", "t.json", "--flip", "3", "--out", "f.json"],
+    ["transform", "t.json", "--out", "f.json"],
+    ["transform", "t.json", "--flip", "1", "--iid", "--out", "f.json"],
+    ["transform", "t.json", "--flip", "x", "--out", "f.json"],
+    ["transform", "t.json", "--ii", "--q", "--out", "f.json"],
+    ["transform", "t.json", "--ii", "--o", "f.json"],
+    ["transform", "-h"],
+    ["search", "--M", "6"],
+    ["search"],
+    ["search", "--M", "six"],
+    ["search", "--M", "6", "--zz"],
+    ["search", "--M", "6", "--o", "w.json"],
+    ["search", "-h"],
+    ["figure", "--kmax", "3"],
+    ["figure"],
+    ["figure", "--kmax", "1.5"],
+    ["figure", "--kmax", "3", "--zz"],
+    ["figure", "--km", "3"],
+    ["figure", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _DIFFERENTIAL_ARGV, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+    # run() builds only argv[0]'s subparser; forcing the full parser must not change a byte
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args: seen.append(vars(args)) or 0 for name in cli._COMMANDS})
+
+    def outcome():
+        try:
+            code = run(list(argv))
+        except SystemExit as exit:  # -h prints the help and exits
+            code = ("exit", exit.code)
+        out, err = capsys.readouterr()
+        return code, seen.pop() if seen else None, out, err
+
+    one = outcome()
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full_parser())
+    assert outcome() == one
+
+
+def test_only_the_named_subparser_is_built(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run(["figure", "--kmax", "1"]) == 0
+    assert built == ["figure"]
+    built.clear()
+    assert run(["figuer", "--kmax", "1"]) == 1
+    assert built == ["build", "simulate", "verify", "transform", "search", "figure"]
+    assert "invalid choice: 'figuer'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table36", "--n", "9"], "--n applies only to build star"),
+        (["table36", "--M", "100"], "--M applies only to build star"),
+        (["bin2k", "--M", "7"], "--M applies only to build star"),
+        (["star", "--k", "2"], "--k applies only to build bin2k"),
+        (["bin2k", "--h", "2"], "--h applies only to build ext6h or par6h"),
+        (["table36", "nothere.json"], "base applies only to build cdwrap"),
+        (["ext6h", "--n", "3"], "--n applies only to build star"),
+    ],
+)
+def test_build_refuses_options_its_builder_never_reads(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.json"
+    assert run(["build", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
