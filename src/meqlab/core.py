@@ -11,6 +11,8 @@ nothing here writes to them after construction, but callers can.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
 
@@ -77,11 +79,18 @@ class Step:
             raise ValueError("sender and receiver must differ")
         if check_int(self.range_size, "range") < 1:
             raise ValueError("range_size must be positive")
-        for key, sym in self.table.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], tuple)):
-                raise ValueError(f"table key {key!r} is not (input, history)")
-            if not 1 <= check_int(sym, "symbol") <= self.range_size:
-                raise ValueError(f"symbol {sym} outside 1..{self.range_size}")
+        keys, syms = self.table.keys(), self.table.values()
+        # checked a column at a time at C speed; only a refused table is walked
+        if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+                and set(map(type, map(itemgetter(1), keys))) <= {tuple}
+                and set(map(type, chain(syms, map(itemgetter(0), keys), *map(itemgetter(1), keys)))) <= {int}
+                and (not syms or 1 <= min(syms) and max(syms) <= self.range_size)):
+            for key, sym in self.table.items():
+                if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is int
+                        and isinstance(key[1], tuple) and set(map(type, key[1])) <= {int}):
+                    raise ValueError(f"table key {key!r} is not (input, history)")
+                if not 1 <= check_int(sym, "symbol") <= self.range_size:
+                    raise ValueError(f"symbol {sym} outside 1..{self.range_size}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,9 @@ class GeneralProtocol:
         for node, table in self.decisions.items():
             if not 1 <= check_int(node, "decision node") <= self.n:
                 raise ValueError(f"decision node {node} outside 1..{self.n}")
-            for bit in table.values():
-                if type(bit) is not int or bit not in (0, 1):
-                    raise ValueError(f"decision {bit!r} for node {node} is not a bit")
+            if not (set(map(type, table.values())) <= {int} and set(table.values()) <= {0, 1}):
+                bit = next(bit for bit in table.values() if type(bit) is not int or bit not in (0, 1))
+                raise ValueError(f"decision {bit!r} for node {node} is not a bit")
 
 
 @dataclass(frozen=True)
@@ -213,21 +222,22 @@ def rules(p: Protocol):
     ``send(l, x, h)`` is the symbol that step l's sender transmits on input x
     after receiving h (its symbols so far, in schedule order), and
     ``decide(node, x, h)`` a node's bit after its full history. Table links
-    are steps, and a node decides 1 iff some received symbol differs from
-    the one its own input sends on that link. General rules read the tables
-    (a node without one decides 0) and raise MalformedProtocolError on a
-    missing entry.
+    are steps; a node with k incoming links decides 1 iff h[:k] differs from
+    the symbols its own input sends on them, in schedule order. General
+    rules read the tables (a node without one decides 0) and raise
+    MalformedProtocolError on a missing entry.
     """
     if isinstance(p, TableProtocol):
-        incoming = {node: [] for node in range(1, p.n + 1)}
-        for lk in p.links:
-            incoming[lk.receiver].append(lk.symbols)
+        # a stable sort keeps each receiver's links in schedule order
+        incoming = groupby(sorted(p.links, key=attrgetter("receiver")), attrgetter("receiver"))
+        own = {node: list(zip(*(lk.symbols for lk in links))) for node, links in incoming}
 
         def send(l, x, h):
             return p.links[l].symbols[x - 1]
 
         def decide(node, x, h):
-            return int(any(sym != symbols[x - 1] for symbols, sym in zip(incoming[node], h)))
+            expected = own[node][x - 1] if node in own else ()
+            return int(h[:len(expected)] != expected)
 
         return [(lk.sender, lk.receiver) for lk in p.links], send, decide
 
@@ -333,18 +343,21 @@ def decided_rectangles(p: GeneralProtocol) -> Iterator:
     a missing one raises MalformedProtocolError."""
     schedule, send, decide = rules(p)
     for sets, histories in rectangles(p.n, p.M, schedule, send):
-        nodes = enumerate(zip(sets, histories), 1)
-        yield sets, [[decide(node, x, h) for x in xs] for node, (xs, h) in nodes]
+        bits = []
+        for node, (xs, h) in enumerate(zip(sets, histories), 1):
+            try:  # one read per leaf; the rule decides a node without a table, or names the missing entry
+                bits.append(list(map(p.decisions[node].__getitem__, zip(xs, repeat(h)))))
+            except KeyError:
+                bits.append([decide(node, x, h) for x in xs])
+        yield sets, bits
 
 
-def checked(p: Protocol) -> GeneralProtocol:
-    """p in general form with every reachable table and decision entry
-    present, else MalformedProtocolError. A table protocol's expansion has
-    every entry by construction; a general one is walked once."""
-    if isinstance(p, TableProtocol):
-        return table_to_general(p)
-    for _ in decided_rectangles(p):
-        pass
+def checked(p: Protocol) -> Protocol:
+    """p, once a walk has read every reachable entry of a general p, else
+    MalformedProtocolError. A table p, complete by construction, is not expanded."""
+    if isinstance(p, GeneralProtocol):
+        for _ in decided_rectangles(p):
+            pass
     return p
 
 
@@ -412,12 +425,9 @@ def materialize(
 
 
 def table_to_general(t: TableProtocol) -> GeneralProtocol:
-    """Expand per-link tables into an explicit stepwise protocol.
-
-    One step per link in schedule order; receivers decide 1 iff any received
-    symbol differs from the one expected for their own input, and nodes with
-    no incoming link decide 0.
-    """
+    """Expand per-link tables into an explicit stepwise protocol: one step
+    per link in schedule order, each entry read off `rules(t)`, declared
+    ranges kept."""
     if not isinstance(t, TableProtocol):
         raise ValueError("table_to_general expects a table-kind protocol")
     return materialize(t.n, t.M, *rules(t), [lk.range_size for lk in t.links])

@@ -14,12 +14,14 @@ its cost, whichever steps were reversed first.
 
 from .core import (
     GeneralProtocol,
+    MalformedProtocolError,
     Protocol,
     TableProtocol,
     check_int,
     checked,
     dense_link,
     materialize,
+    rules,
     simulate,
 )
 
@@ -36,28 +38,28 @@ def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
     """Reverse the direction of one step, preserving correctness.
 
     The reversed step l now runs from the old receiver R to the old sender T
-    and carries R's expected symbol for l. Every node follows p's rules on
+    and carries R's expected symbol for l. Every node follows `rules(p)` on
     its p-history: R's has that expectation inserted at l, and T's drops the
     symbol it now receives at l. T additionally decides 1 when the
     expectation differs from what T would have sent. All ranges are
-    recomputed afterward.
+    recomputed afterward. A table p is read through its rules, not expanded.
 
-    p is first brought to general form by `core.checked`, which raises
+    A general p is first walked by `core.checked`, which raises
     MalformedProtocolError on a missing reachable entry. After that, a
     p-history the rules cannot look up arises only on inputs where T flags:
     those are not all equal, so the smallest symbol of the step, or
     decision 1, keeps the protocol correct there.
     """
     p = checked(p)
-    if not 1 <= check_int(step_index, "step index") <= len(p.steps):
-        raise ValueError(f"step index {step_index} outside 1..{len(p.steps)}")
-    l0 = step_index - 1
-    t_node, r_node = p.steps[l0].sender, p.steps[l0].receiver
+    # expected_symbol refuses a step index outside 1..len(schedule)
     expected = {x: expected_symbol(p, step_index, x) for x in range(1, p.M + 1)}
-    smallest = [min(st.table.values()) for st in p.steps]
+    schedule, p_send, p_decide = rules(p)
+    l0 = step_index - 1
+    t_node, r_node = schedule[l0]
+    smallest = [min(st.table.values()) for st in p.steps] if isinstance(p, GeneralProtocol) else None
     # where step l0 sits in T's and R's histories
-    k_t = sum(st.receiver == t_node for st in p.steps[:l0])
-    k_r = sum(st.receiver == r_node for st in p.steps[:l0])
+    k_t = sum(r == t_node for _, r in schedule[:l0])
+    k_r = sum(r == r_node for _, r in schedule[:l0])
 
     def p_history(node, x, h, l):
         if l > l0 and node == r_node:
@@ -69,17 +71,18 @@ def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
     def send(l, x, h):
         if l == l0:
             return expected[x]
-        st = p.steps[l]
-        return st.table.get((x, p_history(st.sender, x, h, l)), smallest[l])
+        try:
+            return p_send(l, x, p_history(schedule[l][0], x, h, l))
+        except MalformedProtocolError:
+            return smallest[l]
 
     def decide(node, x, h):
-        if node == t_node and p.steps[l0].table[x, h[:k_t]] != h[k_t]:
+        try:
+            return int(node == t_node and p_send(l0, x, h[:k_t]) != h[k_t]
+                       or p_decide(node, x, p_history(node, x, h, len(schedule))))
+        except MalformedProtocolError:
             return 1
-        if node not in p.decisions:
-            return 0
-        return p.decisions[node].get((x, p_history(node, x, h, len(p.steps))), 1)
 
-    schedule = [(st.sender, st.receiver) for st in p.steps]
     schedule[l0] = (r_node, t_node)
     return materialize(p.n, p.M, schedule, send, decide)
 
@@ -96,17 +99,16 @@ def make_iid(p: Protocol) -> TableProtocol:
     values. Receivers detect by comparing arrivals against their own
     expectations, which is exactly the TableProtocol semantics.
 
-    p is first brought to general form by `core.checked`, so a protocol
-    missing a reachable table or decision entry raises
-    MalformedProtocolError.
+    A general p is first walked by `core.checked`, so one missing a
+    reachable table or decision entry raises MalformedProtocolError; a
+    table p is read as it is.
     """
     p = checked(p)
     runs = [simulate(p, (x,) * p.n).symbols for x in range(1, p.M + 1)]
 
     by_link: dict[tuple[int, int], list[int]] = {}
-    for l, st in enumerate(p.steps):
-        link = (min(st.sender, st.receiver), max(st.sender, st.receiver))
-        by_link.setdefault(link, []).append(l)
+    for l, step in enumerate(rules(p)[0]):
+        by_link.setdefault(tuple(sorted(step)), []).append(l)
 
     links = [
         dense_link(sender, receiver, [tuple(run[l] for l in steps) for run in runs])

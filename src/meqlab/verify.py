@@ -20,6 +20,8 @@ smaller counterexample exists.
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 
 from .core import (
     GeneralProtocol,
@@ -157,8 +159,8 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[tuple[int, ...] | 
         zs, raised = [], set()
         for node, (xs, bs) in enumerate(zip(sets, bits), 1):
             if node in checked:
-                zs.append([x for x, bit in zip(xs, bs) if not bit])
-                raised.update(x for x, bit in zip(xs, bs) if bit)
+                zs.append(list(compress(xs, map(not_, bs))))
+                raised.update(compress(xs, bs))
             else:
                 zs.append(xs)
         constant = min(raised.intersection(*sets), default=None)

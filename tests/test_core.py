@@ -244,6 +244,14 @@ def test_materialize_takes_one_range_per_step(ranges):
         (lambda: Step(1, 1, {}, 1), "sender and receiver must differ"),
         (lambda: Step(1, 2, {}, 0), "range_size must be positive"),
         (lambda: Step(1, 2, {1: 1}, 1), "table key 1 is not (input, history)"),
+        # a key's input and history symbols are integers, as a file writes them
+        (lambda: Step(1, 2, {(True, ()): 1}, 1), "table key (True, ()) is not (input, history)"),
+        (lambda: Step(1, 2, {(1.0, ()): 1}, 1), "table key (1.0, ()) is not (input, history)"),
+        (lambda: Step(1, 2, {(1, (2, False)): 1}, 1), "table key (1, (2, False)) is not (input, history)"),
+        (lambda: Step(1, 2, {(1, 2): 1}, 1), "table key (1, 2) is not (input, history)"),
+        # the first refused entry is named, whichever check refuses it
+        (lambda: Step(1, 2, {(1, ()): 3, (2.0, ()): 1}, 2), "symbol 3 outside 1..2"),
+        (lambda: Step(1, 2, {(1, ()): 1, (2, (), 3): 1}, 1), "table key (2, (), 3) is not (input, history)"),
         (lambda: Step(1, 2, {(1, ()): 2}, 1), "symbol 2 outside 1..1"),
         (lambda: GeneralProtocol(2, 2, (Step(1, 3, {}, 1),)), "step 1: node 3 outside 1..2"),
         (lambda: GeneralProtocol(2, 2, (), {3: {}}), "decision node 3 outside 1..2"),

@@ -6,6 +6,7 @@ semantics; `table_to_general`, `tighten`, `flip_step`, `cd_wrapper` and
 protocols it builds.
 """
 
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from meqlab import (
     table_to_general,
     tighten,
 )
-from meqlab.core import materialize
+from meqlab.core import materialize, rules
 
 from conftest import materialize_oracle, random_correct_protocol
 from test_transforms import relay_protocol
@@ -126,6 +127,32 @@ def test_table_to_general_tighten_and_flips_match_oracle(t, flips):
         expected = oracle_flip(expected, index)
         assert general == expected
     assert tighten(general) == oracle_tighten(general)
+
+
+def oracle_table_decide(t):
+    """A table receiver's decision, one link at a time: 1 iff some received
+    symbol differs from the one its own input sends on that link."""
+    incoming = {node: [] for node in range(1, t.n + 1)}
+    for lk in t.links:
+        incoming[lk.receiver].append(lk.symbols)
+
+    def decide(node, x, h):
+        return int(any(sym != symbols[x - 1] for symbols, sym in zip(incoming[node], h)))
+
+    return decide
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_protocols(max_n=4, max_M=5), st.lists(st.integers(1, 6), max_size=2))
+def test_table_decide_matches_per_link_oracle(t, extra):
+    # cd_wrapper hands node n its history with the reported bits appended,
+    # which a table's decision must ignore
+    decide, oracle = rules(t)[2], oracle_table_decide(t)
+    runs = [simulate(t, v).received for v in itertools.product(range(1, t.M + 1), repeat=t.n)]
+    for node in range(1, t.n + 1):
+        for h in {received[node - 1] for received in runs}:
+            for x, history in itertools.product(range(1, t.M + 1), (h, h + tuple(extra))):
+                assert decide(node, x, history) == oracle(node, x, history)
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,7 +24,7 @@ from meqlab import (
     table_to_general,
     verify_ad,
 )
-from meqlab import core
+from meqlab import core, transforms
 from meqlab.core import materialize
 from meqlab.serial import dumps
 
@@ -310,13 +310,27 @@ def without_entry(p, node, key):
 
 @pytest.mark.parametrize("rewrite", [lambda p: flip_step(p, 2), make_iid])
 def test_rewrites_walk_a_general_input_once_and_a_table_never(rewrite, monkeypatch):
-    # a table protocol's expansion has every reachable entry by construction
-    walks = []
+    # a table protocol has every reachable entry by construction, and its
+    # rules are read as they are: nothing expands it
+    g = table_to_general(table36())
+    walks, calls = [], []
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
     walk = core.decided_rectangles
     monkeypatch.setattr(core, "decided_rectangles", lambda p: walks.append(p) or walk(p))
-    g = table_to_general(table36())
-    assert rewrite(table36()) == rewrite(g)
-    assert walks == [g]
+    rebuild = counted("materialize", core.materialize)
+    monkeypatch.setattr(core, "materialize", rebuild)
+    monkeypatch.setattr(transforms, "materialize", rebuild)
+    monkeypatch.setattr(core, "table_to_general", counted("table_to_general", core.table_to_general))
+    # flip_step rebuilds the flipped protocol once; make_iid rebuilds nothing
+    rebuilds = ["materialize"] if rewrite is not make_iid else []
+    from_table = rewrite(table36())
+    assert (walks, calls) == ([], rebuilds)
+    calls.clear()
+    assert from_table == rewrite(g)
+    assert (walks, calls) == ([g], rebuilds)
 
 
 def test_missing_reachable_entry_raises():

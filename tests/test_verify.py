@@ -15,6 +15,7 @@ from meqlab import (
     eq_oracle,
     extended_table,
     fooling_lower_bound,
+    make_iid,
     simulate,
     star_protocol,
     table36,
@@ -176,14 +177,18 @@ def without_decision_entry(p, node, key):
     return GeneralProtocol(p.n, p.M, p.steps, {**p.decisions, node: table})
 
 
-@pytest.mark.parametrize("check", [verify_ad, verify_cd, lambda p: verify_cd(p, 1)])
+@pytest.mark.parametrize("check", [verify_ad, verify_cd, lambda p: verify_cd(p, 1), make_iid])
 def test_missing_general_entries_raise(check):
     g = table_to_general(table36())
-    with pytest.raises(MalformedProtocolError, match="step 3"):
+    with pytest.raises(MalformedProtocolError) as info:
         check(without_step_entry(g, 3, (5, (3,))))
-    # node 2's decision table: an unchecked node for a detector other than 2
-    with pytest.raises(MalformedProtocolError, match="node 2"):
-        check(without_decision_entry(g, 2, (6, (3,))))
+    assert str(info.value) == "step 3 (2->3): no entry for (5, (3,))"
+    # node 2's decision table: an unchecked node for a detector other than 2.
+    # Both gaps lie in every leaf that holds either, and the first input
+    # read, in ascending order, is named.
+    with pytest.raises(MalformedProtocolError) as info:
+        check(without_decision_entry(without_decision_entry(g, 2, (6, (3,))), 2, (3, (3,))))
+    assert str(info.value) == "node 2: no decision for (3, (3,))"
 
 
 def test_missing_entry_raises_despite_smaller_counterexample():
