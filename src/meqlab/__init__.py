@@ -1,19 +1,6 @@
 """meqlab: build, simulate, verify, transform, and optimize multiparty
 equality protocols over synchronous point-to-point links."""
 
-from .coloring import (
-    BipartiteRep,
-    ColoringInstance,
-    EdgeCollisionError,
-    OptimalResult,
-    SearchBudgetError,
-    TripleStats,
-    conflict_pairs,
-    optimal_search,
-    protocol_from_coloring,
-    strong_edge_color,
-    to_bipartite,
-)
 from .constructions import (
     cd_wrapper,
     complexity_formula_2k,
@@ -33,10 +20,8 @@ from .core import (
     TableProtocol,
     Transcript,
     complexity,
-    eq_oracle,
     simulate,
     table_to_general,
-    tighten,
 )
 from .serial import load_protocol, protocol_from_doc, save_protocol
 from .transforms import expected_symbol, flip_step, make_iid
@@ -72,7 +57,6 @@ __all__ = [
     "complexity",
     "complexity_formula_2k",
     "conflict_pairs",
-    "eq_oracle",
     "expected_symbol",
     "extended_table",
     "flip_step",
@@ -90,9 +74,19 @@ __all__ = [
     "strong_edge_color",
     "table36",
     "table_to_general",
-    "tighten",
-    "to_bipartite",
     "trivial_upper_bound",
     "verify_ad",
     "verify_cd",
 ]
+
+
+def __getattr__(name: str):
+    # the public names not imported above are coloring's: only a search pays to import it (PEP 562)
+    if name in __all__:
+        from . import coloring
+        return getattr(coloring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from . import constructions, serial, transforms
-from .coloring import SearchBudgetError, optimal_search, protocol_from_coloring
 from .core import MalformedProtocolError, TableProtocol, complexity, simulate
 from .verify import DEFAULT_BUDGET, EnumerationBudgetError, verify_ad, verify_cd
 
@@ -150,7 +149,12 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    result = optimal_search(args.M)
+    from .coloring import SearchBudgetError, optimal_search, protocol_from_coloring  # for search alone
+    try:
+        result = optimal_search(args.M)
+    except SearchBudgetError as err:
+        print(f"budget exceeded: {err}", file=sys.stderr)
+        return EXIT_BUDGET
     print(
         f"optimal product {result.product} "
         f"via ({result.U_size},{result.V_size},{result.W_size})"
@@ -192,7 +196,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (EnumerationBudgetError, SearchBudgetError) as err:
+    except EnumerationBudgetError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError, MalformedProtocolError) as err:

@@ -13,9 +13,8 @@ are the forward-checking join that `verify` decides table protocols with.
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .core import TableProtocol, check_int, check_size, dense_link
+from .core import Frozen, TableProtocol, check_int, check_size, dense_link
 from .verify import _agreeing_input, _smallest_join
 
 
@@ -28,51 +27,32 @@ class EdgeCollisionError(ValueError):
         super().__init__(f"inputs {x1} and {x2} collide on both outgoing links")
 
 
-@dataclass(frozen=True)
-class BipartiteRep:
+class BipartiteRep(Frozen):
     """Simple bipartite graph whose edges stand for the input values.
 
     ``edges[x-1]`` is the (left vertex, right vertex) pair of input x, so
     labels are positional and run over exactly 1..M.
     """
 
-    U_size: int
-    V_size: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("U_size", "V_size", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if check_int(self.U_size, "U_size") < 1 or check_int(self.V_size, "V_size") < 1:
+    def __init__(self, U_size: int, V_size: int, edges: tuple[tuple[int, int], ...]):
+        edges = tuple(tuple(e) for e in edges)
+        if check_int(U_size, "U_size") < 1 or check_int(V_size, "V_size") < 1:
             raise ValueError("vertex classes must be nonempty")
         seen = {}
-        for x, (u, v) in enumerate(self.edges, 1):
-            if not (1 <= check_int(u, "edge endpoint") <= self.U_size
-                    and 1 <= check_int(v, "edge endpoint") <= self.V_size):
+        for x, (u, v) in enumerate(edges, 1):
+            if not (1 <= check_int(u, "edge endpoint") <= U_size
+                    and 1 <= check_int(v, "edge endpoint") <= V_size):
                 raise ValueError(f"edge {x} endpoint ({u},{v}) out of range")
             if (u, v) in seen:
                 raise EdgeCollisionError(seen[(u, v)], x)
             seen[(u, v)] = x
+        self._set(U_size, V_size, edges)
 
     @property
     def M(self) -> int:
         return len(self.edges)
-
-
-def to_bipartite(t: TableProtocol) -> BipartiteRep:
-    """Project a three-node protocol onto its edge graph.
-
-    Requires links 1->2, 1->3 and 2->3 to all be present. Vertices are the
-    symbols of links 1->2 and 1->3 themselves, which LinkTable keeps dense.
-    """
-    if t.n != 3:
-        raise ValueError("bipartite view is defined for three-node protocols")
-    try:
-        ab = t.link(1, 2).symbols
-        ac = t.link(1, 3).symbols
-        t.link(2, 3)
-    except KeyError as missing:
-        raise ValueError(f"protocol lacks link {missing.args[0]}") from None
-    return BipartiteRep(max(ab), max(ac), tuple(zip(ab, ac)))
 
 
 def conflict_pairs(g: BipartiteRep) -> frozenset[tuple[int, int]]:
@@ -89,8 +69,7 @@ def conflict_pairs(g: BipartiteRep) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-@dataclass(frozen=True)
-class ColoringInstance:
+class ColoringInstance(Frozen):
     """A graph plus one color per edge, valid for the distance-2 constraint.
 
     Construction runs `verify`'s join on the protocol read off the instance;
@@ -99,17 +78,17 @@ class ColoringInstance:
     every conflicting pair is separated.
     """
 
-    graph: BipartiteRep
-    colors: tuple[int, ...]
+    __slots__ = _fields = ("graph", "colors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if len(self.colors) != self.graph.M:
-            raise ValueError(f"{len(self.colors)} colors for {self.graph.M} edges")
-        for c in self.colors:
+    def __init__(self, graph: BipartiteRep, colors: tuple[int, ...]):
+        colors = tuple(colors)
+        if len(colors) != graph.M:
+            raise ValueError(f"{len(colors)} colors for {graph.M} edges")
+        for c in colors:
             if check_int(c, "color") < 1:
                 raise ValueError(f"color {c} must be positive")
-        if self.graph.M:  # a table protocol needs at least one input
+        self._set(graph, colors)
+        if graph.M:  # a table protocol needs at least one input
             t = protocol_from_coloring(self)
             bad = _agreeing_input(t, t.links)[0]
             if bad:
@@ -159,17 +138,16 @@ def protocol_from_coloring(inst: ColoringInstance) -> TableProtocol:
     ))
 
 
-@dataclass(frozen=True)
-class TripleStats:
+class TripleStats(Frozen):
     """What the search did for one size triple: the edge-set prefixes it
     extended (``nodes``, which the budget counts), the prefixes it cut by
     the degree bound or as not canonical, and its strong_edge_color calls."""
 
-    sizes: tuple[int, int, int]
-    nodes: int
-    degree_cuts: int
-    canonical_cuts: int
-    colorings: int
+    __slots__ = _fields = ("sizes", "nodes", "degree_cuts", "canonical_cuts", "colorings")
+
+    def __init__(self, sizes: tuple[int, int, int], nodes: int, degree_cuts: int,
+                 canonical_cuts: int, colorings: int):
+        self._set(sizes, nodes, degree_cuts, canonical_cuts, colorings)
 
 
 class SearchBudgetError(Exception):
@@ -189,19 +167,16 @@ class SearchBudgetError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class OptimalResult:
+class OptimalResult(Frozen):
     """Outcome of the exhaustive minimum-product search. ``stats`` holds the
     counts of every triple tried, in search order."""
 
-    U_size: int
-    V_size: int
-    W_size: int
-    product: int
-    bits: float
-    witness: ColoringInstance
-    infeasible: tuple[tuple[int, int, int], ...]
-    stats: tuple[TripleStats, ...] = ()
+    __slots__ = _fields = ("U_size", "V_size", "W_size", "product", "bits", "witness", "infeasible", "stats")
+
+    def __init__(self, U_size: int, V_size: int, W_size: int, product: int, bits: float,
+                 witness: ColoringInstance, infeasible: tuple[tuple[int, int, int], ...],
+                 stats: tuple[TripleStats, ...] = ()):
+        self._set(U_size, V_size, W_size, product, bits, witness, infeasible, stats)
 
 
 def _is_canonical(combo: tuple[tuple[int, int], ...], b: int) -> bool:

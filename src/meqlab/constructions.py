@@ -8,7 +8,6 @@ does the wrapper that turns any anyone-detects protocol into a
 centralized-detect one.
 """
 
-from dataclasses import replace
 from itertools import islice, product
 
 from .core import (
@@ -109,8 +108,8 @@ def meq3_2k(k: int) -> TableProtocol:
     bit), so the cost is exactly 3b bits.
     """
     b = complexity_formula_2k(k) // 3
-    composed = parallel_compose(table36(), 2**k)
-    return replace(composed, links=[replace(lk, range_size=2**b) for lk in composed.links])
+    links = parallel_compose(table36(), 2**k).links
+    return TableProtocol(3, 2**k, tuple(LinkTable(lk.sender, lk.receiver, lk.symbols, 2**b) for lk in links))
 
 
 def complexity_formula_2k(k: int) -> int:

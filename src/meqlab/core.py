@@ -4,16 +4,17 @@ A protocol runs on n nodes, each holding a private value in 1..M. It is a
 finite, fixed schedule of point-to-point transmissions; every transmitted
 symbol is a small positive integer read from a lookup table, and every node
 ends with a one-bit decision (0 = "inputs may all be equal", 1 = "mismatch
-seen"). All operations are pure. The types are frozen after construction,
-except that `Step.table` and `GeneralProtocol.decisions` are plain dicts:
-nothing here writes to them after construction, but callers can.
+seen"). All operations are pure. The types are frozen after construction;
+their step and decision tables are read-only views of the dicts they were
+built from, not copies, so only a caller that kept such a dict can change one.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import chain, groupby, repeat
-from operator import attrgetter, itemgetter
-from typing import Iterator, NamedTuple
+from operator import attrgetter, getitem, itemgetter
+from types import MappingProxyType
 
 
 class MalformedProtocolError(Exception):
@@ -47,15 +48,54 @@ def placed(part: str, build, *args):
         raise ValueError(f"{part}: {err}") from None
 
 
-def eq_oracle(v) -> int:
-    """0 if every node holds the same value, 1 otherwise."""
-    values = tuple(v)
-    first = values[0]
-    return 0 if all(x == first for x in values) else 1
+def _view(table) -> MappingProxyType:
+    """A read-only view of `table`, which is not copied; a view as it is."""
+    return table if type(table) is MappingProxyType else MappingProxyType(table)
 
 
-@dataclass(frozen=True)
-class Step:
+def _plain(value):
+    """value, with every read-only view in it turned back into a dict."""
+    return {key: _plain(item) for key, item in value.items()} if type(value) is MappingProxyType else value
+
+
+class Frozen:
+    """Base of the immutable value classes. A subclass names its fields in
+    constructor order as `__slots__ = _fields = (...)`, which its own
+    subclasses inherit, and stores them once with `_set`. Instances refuse
+    assignment and deletion, compare and hash by `_key` (every field unless
+    a subclass leaves some out), print as dataclasses do, and pickle and
+    copy through the constructor, read-only tables handed over as dicts."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={_plain(getattr(self, name))!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(_plain(getattr(self, name)) for name in self._fields)
+
+
+class Step(Frozen):
     """One scheduled transmission.
 
     `sender` transmits ``table[(x, history)]`` to `receiver`, where x is the
@@ -67,34 +107,31 @@ class Step:
     width is part of the construction itself.
     """
 
-    sender: int
-    receiver: int
-    table: dict
-    range_size: int
+    __slots__ = _fields = ("sender", "receiver", "table", "range_size")
 
-    def __post_init__(self):
-        check_int(self.sender, "step endpoint")
-        check_int(self.receiver, "step endpoint")
-        if self.sender == self.receiver:
+    def __init__(self, sender: int, receiver: int, table: dict, range_size: int):
+        check_int(sender, "step endpoint")
+        check_int(receiver, "step endpoint")
+        if sender == receiver:
             raise ValueError("sender and receiver must differ")
-        if check_int(self.range_size, "range") < 1:
+        if check_int(range_size, "range") < 1:
             raise ValueError("range_size must be positive")
-        keys, syms = self.table.keys(), self.table.values()
+        keys, syms = table.keys(), table.values()
         # checked a column at a time at C speed; only a refused table is walked
         if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
                 and set(map(type, map(itemgetter(1), keys))) <= {tuple}
                 and set(map(type, chain(syms, map(itemgetter(0), keys), *map(itemgetter(1), keys)))) <= {int}
-                and (not syms or 1 <= min(syms) and max(syms) <= self.range_size)):
-            for key, sym in self.table.items():
+                and (not syms or 1 <= min(syms) and max(syms) <= range_size)):
+            for key, sym in table.items():
                 if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is int
                         and isinstance(key[1], tuple) and set(map(type, key[1])) <= {int}):
                     raise ValueError(f"table key {key!r} is not (input, history)")
-                if not 1 <= check_int(sym, "symbol") <= self.range_size:
-                    raise ValueError(f"symbol {sym} outside 1..{self.range_size}")
+                if not 1 <= check_int(sym, "symbol") <= range_size:
+                    raise ValueError(f"symbol {sym} outside 1..{range_size}")
+        self._set(sender, receiver, _view(table), range_size)
 
 
-@dataclass(frozen=True)
-class GeneralProtocol:
+class GeneralProtocol(Frozen):
     """Ordered schedule of steps plus per-node decision tables.
 
     `decisions` maps a node id to ``{(x, full received history): bit}``.
@@ -102,57 +139,51 @@ class GeneralProtocol:
     behaviour for nodes that never receive anything.
     """
 
-    n: int
-    M: int
-    steps: tuple[Step, ...]
-    decisions: dict = field(default_factory=dict)
+    __slots__ = _fields = ("n", "M", "steps", "decisions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        check_size(self.n, self.M)
-        for index, st in enumerate(self.steps, 1):
+    def __init__(self, n: int, M: int, steps: tuple[Step, ...], decisions: dict = MappingProxyType({})):
+        steps = tuple(steps)
+        check_size(n, M)
+        for index, st in enumerate(steps, 1):
             for node in (st.sender, st.receiver):
-                if not 1 <= node <= self.n:
-                    raise ValueError(f"step {index}: node {node} outside 1..{self.n}")
-        for node, table in self.decisions.items():
-            if not 1 <= check_int(node, "decision node") <= self.n:
-                raise ValueError(f"decision node {node} outside 1..{self.n}")
+                if not 1 <= node <= n:
+                    raise ValueError(f"step {index}: node {node} outside 1..{n}")
+        for node, table in decisions.items():
+            if not 1 <= check_int(node, "decision node") <= n:
+                raise ValueError(f"decision node {node} outside 1..{n}")
             if not (set(map(type, table.values())) <= {int} and set(table.values()) <= {0, 1}):
                 bit = next(bit for bit in table.values() if type(bit) is not int or bit not in (0, 1))
                 raise ValueError(f"decision {bit!r} for node {node} is not a bit")
+        self._set(n, M, steps, MappingProxyType({node: _view(table) for node, table in decisions.items()}))
 
 
-@dataclass(frozen=True)
-class LinkTable:
+class LinkTable(Frozen):
     """Symbol table of one directed link: on input x the sender transmits
     ``symbols[x-1]``. Symbols must form a dense prefix 1..max; `range_size`
     defaults to that maximum (tight) and may only be declared larger."""
 
-    sender: int
-    receiver: int
-    symbols: tuple[int, ...]
-    range_size: int = 0
+    __slots__ = _fields = ("sender", "receiver", "symbols", "range_size")
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        check_int(self.sender, "link endpoint")
-        check_int(self.receiver, "link endpoint")
-        check_int(self.range_size, "range")
-        if self.sender == self.receiver:
+    def __init__(self, sender: int, receiver: int, symbols: tuple[int, ...], range_size: int = 0):
+        symbols = tuple(symbols)
+        check_int(sender, "link endpoint")
+        check_int(receiver, "link endpoint")
+        check_int(range_size, "range")
+        if sender == receiver:
             raise ValueError("sender and receiver must differ")
-        if not self.symbols:
+        if not symbols:
             raise ValueError("empty symbol table")
-        top = max(check_int(sym, "symbol") for sym in self.symbols)
-        if set(self.symbols) != set(range(1, top + 1)):
-            raise ValueError(f"symbols {sorted(set(self.symbols))} are not a dense 1..{top} range")
-        if self.range_size == 0:
-            object.__setattr__(self, "range_size", top)
-        elif self.range_size < top:
-            raise ValueError(f"declared range {self.range_size} below realized {top}")
+        top = max(check_int(sym, "symbol") for sym in symbols)
+        if set(symbols) != set(range(1, top + 1)):
+            raise ValueError(f"symbols {sorted(set(symbols))} are not a dense 1..{top} range")
+        if range_size == 0:
+            range_size = top
+        elif range_size < top:
+            raise ValueError(f"declared range {range_size} below realized {top}")
+        self._set(sender, receiver, symbols, range_size)
 
 
-@dataclass(frozen=True)
-class TableProtocol:
+class TableProtocol(Frozen):
     """Protocol whose every symbol depends only on the sender's own input.
 
     One table per directed link; links are oriented from the lower to the
@@ -162,25 +193,24 @@ class TableProtocol:
     no incoming link decide 0.
     """
 
-    n: int
-    M: int
-    links: tuple[LinkTable, ...]
+    __slots__ = _fields = ("n", "M", "links")
 
-    def __post_init__(self):
-        object.__setattr__(self, "links", tuple(self.links))
-        check_size(self.n, self.M)
+    def __init__(self, n: int, M: int, links: tuple[LinkTable, ...]):
+        links = tuple(links)
+        check_size(n, M)
         prev = None
-        for index, lk in enumerate(self.links, 1):
-            if not (1 <= lk.sender <= self.n and 1 <= lk.receiver <= self.n):
-                raise ValueError(f"link {index} endpoint outside 1..{self.n}")
+        for index, lk in enumerate(links, 1):
+            if not (1 <= lk.sender <= n and 1 <= lk.receiver <= n):
+                raise ValueError(f"link {index} endpoint outside 1..{n}")
             if lk.sender >= lk.receiver:
                 raise ValueError(f"link {index} ({lk.sender},{lk.receiver}) not oriented low->high")
-            if len(lk.symbols) != self.M:
-                raise ValueError(f"link {index} has {len(lk.symbols)} entries, expected {self.M}")
+            if len(lk.symbols) != M:
+                raise ValueError(f"link {index} has {len(lk.symbols)} entries, expected {M}")
             key = (lk.sender, lk.receiver)
             if prev is not None and key <= prev:
                 raise ValueError(f"link {index} not strictly after link {index - 1} by (sender, receiver)")
             prev = key
+        self._set(n, M, links)
 
     def link(self, sender: int, receiver: int) -> LinkTable:
         for lk in self.links:
@@ -192,8 +222,7 @@ class TableProtocol:
 Protocol = GeneralProtocol | TableProtocol
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Frozen):
     """Everything one execution produced.
 
     `symbols` lists the symbol of each step in schedule order. `received`
@@ -201,9 +230,11 @@ class Transcript:
     in schedule order; `decisions` holds each node's final bit.
     """
 
-    symbols: tuple[int, ...]
-    received: tuple[tuple[int, ...], ...]
-    decisions: tuple[int, ...]
+    __slots__ = _fields = ("symbols", "received", "decisions")
+
+    def __init__(self, symbols: tuple[int, ...], received: tuple[tuple[int, ...], ...],
+                 decisions: tuple[int, ...]):
+        self._set(symbols, received, decisions)
 
 
 def _check_vector(p: Protocol, v) -> tuple[int, ...]:
@@ -277,15 +308,14 @@ def simulate(p: Protocol, v) -> Transcript:
     return Transcript(tuple(symbols), tuple(received), decisions)
 
 
-class Complexity(NamedTuple):
+class Complexity(namedtuple("Complexity", ("product", "bits"))):
     """Exact product of per-step symbol ranges and its base-2 logarithm.
 
     Protocols are compared through `product`; `bits` is derived and only for
     display or bound arithmetic.
     """
 
-    product: int
-    bits: float
+    __slots__ = ()
 
 
 def complexity(p: Protocol) -> Complexity:
@@ -346,7 +376,7 @@ def decided_rectangles(p: GeneralProtocol) -> Iterator:
         bits = []
         for node, (xs, h) in enumerate(zip(sets, histories), 1):
             try:  # one read per leaf; the rule decides a node without a table, or names the missing entry
-                bits.append(list(map(p.decisions[node].__getitem__, zip(xs, repeat(h)))))
+                bits.append(list(map(getitem, repeat(p.decisions[node]), zip(xs, repeat(h)))))
             except KeyError:
                 bits.append([decide(node, x, h) for x in xs])
         yield sets, bits
@@ -431,8 +461,3 @@ def table_to_general(t: TableProtocol) -> GeneralProtocol:
     if not isinstance(t, TableProtocol):
         raise ValueError("table_to_general expects a table-kind protocol")
     return materialize(t.n, t.M, *rules(t), [lk.range_size for lk in t.links])
-
-
-def tighten(p: GeneralProtocol) -> GeneralProtocol:
-    """Recompute every range from the symbols actually realized over all inputs."""
-    return materialize(p.n, p.M, *rules(p))

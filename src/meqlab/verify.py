@@ -19,11 +19,11 @@ smaller counterexample exists.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
 
 from .core import (
+    Frozen,
     GeneralProtocol,
     Protocol,
     TableProtocol,
@@ -48,8 +48,7 @@ class EnumerationBudgetError(Exception):
         super().__init__(f"{count} exceed budget {budget}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of an exhaustive check.
 
     When `ok` is false, `counterexample` holds the offending input tuple and
@@ -68,10 +67,14 @@ class Verdict:
     no part in equality, so two verdicts are equal when they decide the same.
     """
 
-    ok: bool
-    counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    vectors_checked: int = 0
-    nodes: int = field(default=0, compare=False)
+    __slots__ = _fields = ("ok", "counterexample", "vectors_checked", "nodes")
+
+    def __init__(self, ok: bool, counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+                 vectors_checked: int = 0, nodes: int = 0):
+        self._set(ok, counterexample, vectors_checked, nodes)
+
+    def _key(self) -> tuple:
+        return self.ok, self.counterexample, self.vectors_checked
 
 
 def _check_budget(p: Protocol, budget: int) -> int:

@@ -16,6 +16,7 @@ from meqlab import (
     strong_edge_color,
 )
 from meqlab.coloring import _is_canonical
+from meqlab.core import materialize, rules
 
 
 def dense_random_table(rng: random.Random, M: int) -> tuple[int, ...]:
@@ -56,6 +57,36 @@ def random_correct_protocol(rng: random.Random, M: int) -> TableProtocol:
         LinkTable(1, 3, ac),
         LinkTable(2, 3, bc),
     ))
+
+
+def eq_oracle(v) -> int:
+    """0 if every node holds the same value, 1 otherwise."""
+    values = tuple(v)
+    first = values[0]
+    return 0 if all(x == first for x in values) else 1
+
+
+def to_bipartite(t: TableProtocol) -> BipartiteRep:
+    """Project a three-node protocol onto its edge graph.
+
+    Requires links 1->2, 1->3 and 2->3 to all be present. Vertices are the
+    symbols of links 1->2 and 1->3 themselves, which LinkTable keeps dense.
+    """
+    if t.n != 3:
+        raise ValueError("bipartite view is defined for three-node protocols")
+    try:
+        ab = t.link(1, 2).symbols
+        ac = t.link(1, 3).symbols
+        t.link(2, 3)
+    except KeyError as missing:
+        raise ValueError(f"protocol lacks link {missing.args[0]}") from None
+    return BipartiteRep(max(ab), max(ac), tuple(zip(ab, ac)))
+
+
+def tighten(p: GeneralProtocol) -> GeneralProtocol:
+    """p rebuilt with every range recomputed from the symbols realized over
+    all inputs."""
+    return materialize(p.n, p.M, *rules(p))
 
 
 STAR_SIZES = {3: 8, 4: 6, 5: 4}

@@ -29,10 +29,10 @@ from meqlab import (
     verify_ad,
     verify_cd,
 )
-from meqlab import LinkTable, TableProtocol, conflict_pairs, to_bipartite
+from meqlab import LinkTable, TableProtocol, conflict_pairs
 from meqlab.cli import run
 
-from conftest import random_correct_protocol
+from conftest import random_correct_protocol, to_bipartite
 
 
 def check(number: int, limit: float | None, body):

@@ -23,12 +23,11 @@ from meqlab import (
     protocol_from_coloring,
     strong_edge_color,
     table36,
-    to_bipartite,
     trivial_upper_bound,
     verify_ad,
 )
 
-from conftest import canonical_oracle, conflict_oracle, random_correct_protocol, search_oracle
+from conftest import canonical_oracle, conflict_oracle, random_correct_protocol, search_oracle, to_bipartite
 from meqlab import coloring
 from meqlab.coloring import _edge_sets, _is_canonical
 

@@ -13,11 +13,12 @@ from meqlab import (
     simulate,
     star_protocol,
     table36,
-    tighten,
     verify_ad,
     verify_cd,
 )
 from meqlab.constructions import least_exponent
+
+from conftest import tighten
 
 
 def test_star_complexity():

@@ -11,16 +11,16 @@ from meqlab import (
     Step,
     TableProtocol,
     complexity,
-    eq_oracle,
     simulate,
     star_protocol,
     table36,
     table_to_general,
-    tighten,
     verify_ad,
     verify_cd,
 )
 from meqlab.core import materialize, rectangles, rules
+
+from conftest import eq_oracle, tighten
 
 
 def test_eq_oracle_basic():

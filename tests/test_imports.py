@@ -1,0 +1,70 @@
+"""What importing meqlab costs: no command loads dataclasses, inspect, typing
+or the search module `coloring` it does not run, and the package still
+offers every public name."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import meqlab
+from meqlab import SearchBudgetError, coloring
+from meqlab.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports meqlab from
+    this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                          text=True, timeout=60).stdout
+
+
+def test_cli_import_leaves_out_dataclasses_typing_and_coloring():
+    # the interpreter's own start-up modules differ between hosts (site), so
+    # only the modules that the import adds to them are judged
+    out = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "started = set(sys.modules)\n"
+        "import meqlab.cli\n"
+        "added = sorted(set(sys.modules) - started)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = meqlab.cli.run(['search', '--M', '4'])\n"
+        "print(json.dumps([added, code, 'meqlab.coloring' in sys.modules]))\n"
+    )
+    added, code, searched = json.loads(out)
+    assert "meqlab.cli" in added and "meqlab.core" in added
+    assert not {"dataclasses", "inspect", "typing", "meqlab.coloring"} & set(added)
+    assert code == 0 and searched
+
+
+def test_every_public_name_resolves():
+    for name in meqlab.__all__:
+        assert getattr(meqlab, name) is not None, name
+    assert meqlab.optimal_search is coloring.optimal_search
+    assert set(meqlab.__all__) <= set(dir(meqlab))
+    for gone in ("eq_oracle", "to_bipartite", "tighten", "not_a_name"):
+        with pytest.raises(AttributeError, match=f"module 'meqlab' has no attribute '{gone}'"):
+            getattr(meqlab, gone)
+    out = fresh_python(
+        "from meqlab import *\n"
+        "from meqlab import SearchBudgetError as E\n"
+        "print(optimal_search.__module__, E.__module__, len([n for n in dir() if not n.startswith('_')]))\n"
+    )
+    assert out.split() == ["meqlab.coloring", "meqlab.coloring", str(len(meqlab.__all__) + 1)]
+
+
+def test_search_budget_error_exits_3_with_one_line(monkeypatch, capsys):
+    def exhausted(M):
+        raise SearchBudgetError(5, [(1, 2, 2), (1, 2, 3)])
+
+    monkeypatch.setattr(coloring, "optimal_search", exhausted)
+    assert run(["search", "--M", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: graph budget 5 exhausted in size triple (1, 2, 2); 2 size triples undecided\n"

@@ -23,11 +23,10 @@ from meqlab import (
     meq3_2k,
     simulate,
     table_to_general,
-    tighten,
 )
 from meqlab.core import materialize, rules
 
-from conftest import materialize_oracle, random_correct_protocol
+from conftest import materialize_oracle, random_correct_protocol, tighten
 from test_transforms import relay_protocol
 from test_verify_differential import table_protocols
 

@@ -22,14 +22,13 @@ from meqlab import (
     star_protocol,
     table36,
     table_to_general,
-    tighten,
     verify_ad,
 )
 from meqlab.cli import run
 from meqlab.core import materialize
 from meqlab.serial import dumps
 
-from conftest import dumps_oracle, protocol_to_doc, random_correct_protocol
+from conftest import dumps_oracle, protocol_to_doc, random_correct_protocol, tighten
 from test_rebuild_differential import random_rules
 from test_verify_differential import dense
 

@@ -12,7 +12,6 @@ from meqlab import (
     Verdict,
     cd_wrapper,
     complexity,
-    eq_oracle,
     extended_table,
     fooling_lower_bound,
     make_iid,
@@ -25,6 +24,8 @@ from meqlab import (
     verify_cd,
 )
 from meqlab.core import rectangles, rules
+
+from conftest import eq_oracle
 
 
 def mutate_third_link(value_at_4: int) -> TableProtocol:
@@ -112,6 +113,7 @@ def test_nodes_count_work_but_not_equality():
     assert verify_ad(g).nodes == len(list(rectangles(g.n, g.M, *rules(g)[:2])))
     assert verify_ad(g) == Verdict(True, None, 216)
     assert Verdict(True, None, 216, nodes=1) == Verdict(True, None, 216, nodes=2)
+    assert hash(Verdict(True, None, 216, nodes=1)) == hash(Verdict(True, None, 216, nodes=2))
 
 
 def test_budget_refusal():

@@ -28,14 +28,13 @@ from meqlab import (
     star_protocol,
     table36,
     table_to_general,
-    to_bipartite,
     verify_ad,
     verify_cd,
 )
 
 from meqlab.verify import _smallest_join
 
-from conftest import STAR_SIZES, brute_force_verdicts, random_correct_protocol, relabelled_star
+from conftest import STAR_SIZES, brute_force_verdicts, random_correct_protocol, relabelled_star, to_bipartite
 
 
 def assert_matches_oracle(p):
