@@ -12,7 +12,7 @@ import sys
 
 from . import constructions, serial, transforms
 from .core import MalformedProtocolError, TableProtocol, complexity, simulate
-from .verify import DEFAULT_BUDGET, EnumerationBudgetError, verify_ad, verify_cd
+from .verify import DEFAULT_BUDGET, BudgetError, verify_ad, verify_cd
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,12 +149,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .coloring import SearchBudgetError, optimal_search, protocol_from_coloring  # for search alone
-    try:
-        result = optimal_search(args.M)
-    except SearchBudgetError as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_BUDGET
+    from .coloring import optimal_search, protocol_from_coloring  # for search alone
+    result = optimal_search(args.M)
     print(
         f"optimal product {result.product} "
         f"via ({result.U_size},{result.V_size},{result.W_size})"
@@ -196,7 +192,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except EnumerationBudgetError as err:
+    except BudgetError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError, MalformedProtocolError) as err:

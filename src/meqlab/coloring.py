@@ -15,7 +15,7 @@ import itertools
 import math
 
 from .core import Frozen, TableProtocol, check_int, check_size, dense_link
-from .verify import _agreeing_input, _smallest_join
+from .verify import BudgetError, _agreeing_input, _smallest_join
 
 
 class EdgeCollisionError(ValueError):
@@ -150,7 +150,7 @@ class TripleStats(Frozen):
         self._set(sizes, nodes, degree_cuts, canonical_cuts, colorings)
 
 
-class SearchBudgetError(Exception):
+class SearchBudgetError(BudgetError):
     """The search-node budget ran out before the search finished.
     ``frontier`` holds every undecided size triple, the unfinished one
     first; ``stats`` holds the counts of every triple tried, the unfinished

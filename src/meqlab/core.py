@@ -290,6 +290,19 @@ def rules(p: Protocol):
     return [(st.sender, st.receiver) for st in p.steps], send, decide
 
 
+def replay(schedule: list[tuple[int, int]], send, values) -> tuple[list[int], list[tuple[int, ...]]]:
+    """One run of the schedule under the `send` rule (as `rules` returns it)
+    on node inputs `values`: the symbols in schedule order, and what each
+    node received."""
+    received = [()] * len(values)
+    symbols = []
+    for l, (sender, receiver) in enumerate(schedule):
+        sym = send(l, values[sender - 1], received[sender - 1])
+        symbols.append(sym)
+        received[receiver - 1] += (sym,)
+    return symbols, received
+
+
 def simulate(p: Protocol, v) -> Transcript:
     """Replay the schedule on one input vector.
 
@@ -298,12 +311,7 @@ def simulate(p: Protocol, v) -> Transcript:
     """
     values = _check_vector(p, v)
     schedule, send, decide = rules(p)
-    received = [()] * p.n
-    symbols = []
-    for l, (sender, receiver) in enumerate(schedule):
-        sym = send(l, values[sender - 1], received[sender - 1])
-        symbols.append(sym)
-        received[receiver - 1] += (sym,)
+    symbols, received = replay(schedule, send, values)
     decisions = tuple(decide(node, x, h) for node, (x, h) in enumerate(zip(values, received), 1))
     return Transcript(tuple(symbols), tuple(received), decisions)
 

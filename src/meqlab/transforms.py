@@ -21,17 +21,24 @@ from .core import (
     checked,
     dense_link,
     materialize,
+    replay,
     rules,
     simulate,
 )
 
 
-def expected_symbol(p: Protocol, step_index: int, x: int) -> int:
-    """Symbol sent at the given step when every node's input is x."""
+def _step(p: Protocol, step_index: int) -> int:
+    """The 0-based position of a 1-based step index, refused outside the schedule."""
     length = len(p.links) if isinstance(p, TableProtocol) else len(p.steps)
     if not 1 <= check_int(step_index, "step index") <= length:
         raise ValueError(f"step index {step_index} outside 1..{length}")
-    return simulate(p, (x,) * p.n).symbols[step_index - 1]
+    return step_index - 1
+
+
+def expected_symbol(p: Protocol, step_index: int, x: int) -> int:
+    """Symbol sent at the given step when every node's input is x."""
+    l = _step(p, step_index)
+    return simulate(p, (x,) * p.n).symbols[l]
 
 
 def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
@@ -51,10 +58,9 @@ def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
     decision 1, keeps the protocol correct there.
     """
     p = checked(p)
-    # expected_symbol refuses a step index outside 1..len(schedule)
-    expected = {x: expected_symbol(p, step_index, x) for x in range(1, p.M + 1)}
+    l0 = _step(p, step_index)
     schedule, p_send, p_decide = rules(p)
-    l0 = step_index - 1
+    expected = {x: replay(schedule, p_send, (x,) * p.n)[0][l0] for x in range(1, p.M + 1)}
     t_node, r_node = schedule[l0]
     smallest = [min(st.table.values()) for st in p.steps] if isinstance(p, GeneralProtocol) else None
     # where step l0 sits in T's and R's histories
@@ -104,10 +110,11 @@ def make_iid(p: Protocol) -> TableProtocol:
     table p is read as it is.
     """
     p = checked(p)
-    runs = [simulate(p, (x,) * p.n).symbols for x in range(1, p.M + 1)]
+    schedule, send, _ = rules(p)
+    runs = [replay(schedule, send, (x,) * p.n)[0] for x in range(1, p.M + 1)]
 
     by_link: dict[tuple[int, int], list[int]] = {}
-    for l, step in enumerate(rules(p)[0]):
+    for l, step in enumerate(schedule):
         by_link.setdefault(tuple(sorted(step)), []).append(l)
 
     links = [

@@ -36,7 +36,12 @@ from .core import (
 DEFAULT_BUDGET = 10**8
 
 
-class EnumerationBudgetError(Exception):
+class BudgetError(Exception):
+    """A budget ran out before the work finished: the base of every budget
+    refusal, which the CLI reports as one line and exit code 3."""
+
+
+class EnumerationBudgetError(BudgetError):
     """The input space, counted as max(M, 2)**n so that n is bounded even at
     M=1, exceeds the enumeration budget; nothing was checked."""
 

@@ -1,18 +1,22 @@
-"""What importing meqlab costs: no command loads dataclasses, inspect, typing
-or the search module `coloring` it does not run, and the package still
-offers every public name."""
+"""What importing meqlab costs: a bare `import meqlab` loads no submodule, no
+command loads dataclasses, inspect, typing or the search module `coloring`
+it does not run, and the package still offers every public name, read from
+its home module on each access."""
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import meqlab
-from meqlab import SearchBudgetError, coloring
+from meqlab import EnumerationBudgetError, SearchBudgetError, coloring, verify
 from meqlab.cli import run
+from meqlab.verify import BudgetError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,6 +45,51 @@ def test_cli_import_leaves_out_dataclasses_typing_and_coloring():
     assert "meqlab.cli" in added and "meqlab.core" in added
     assert not {"dataclasses", "inspect", "typing", "meqlab.coloring"} & set(added)
     assert code == 0 and searched
+
+
+def test_bare_import_loads_no_submodule_until_a_name_is_used():
+    out = fresh_python(
+        "import json, sys\n"
+        "started = set(sys.modules)\n"
+        "import meqlab\n"
+        "added = sorted(set(sys.modules) - started)\n"
+        "listed = sorted(dir(meqlab))\n"
+        "modules = {name: getattr(meqlab, name).__name__ for name in meqlab._EXPORTS}\n"
+        "print(json.dumps([added, listed, modules, meqlab.__all__]))\n"
+    )
+    added, listed, modules, public = json.loads(out)
+    assert added == ["meqlab"]
+    assert set(public) <= set(listed)
+    assert modules == {name: f"meqlab.{name}" for name in meqlab._EXPORTS}
+
+
+def test_every_public_name_is_declared_once_and_read_from_its_home_module():
+    declared = Counter(name for names in meqlab._EXPORTS.values() for name in names)
+    assert set(declared.values()) == {1}
+    assert sorted(declared) == meqlab.__all__
+    for module, names in meqlab._EXPORTS.items():
+        home = import_module(f"meqlab.{module}")
+        assert getattr(meqlab, module) is home
+        for name in names:
+            assert getattr(meqlab, name) is getattr(home, name), name
+
+
+def test_a_name_rebound_in_its_home_module_is_what_the_package_serves(monkeypatch):
+    original = meqlab.verify_ad
+
+    def stand_in(p, budget=None):
+        return None
+
+    monkeypatch.setattr(verify, "verify_ad", stand_in)
+    assert meqlab.verify_ad is stand_in
+    monkeypatch.undo()
+    assert meqlab.verify_ad is original
+
+
+def test_every_budget_refusal_shares_one_base_outside_the_public_names():
+    assert issubclass(EnumerationBudgetError, BudgetError)
+    assert issubclass(SearchBudgetError, BudgetError)
+    assert "BudgetError" not in meqlab.__all__
 
 
 def test_every_public_name_resolves():

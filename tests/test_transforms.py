@@ -324,13 +324,18 @@ def test_rewrites_walk_a_general_input_once_and_a_table_never(rewrite, monkeypat
     monkeypatch.setattr(core, "materialize", rebuild)
     monkeypatch.setattr(transforms, "materialize", rebuild)
     monkeypatch.setattr(core, "table_to_general", counted("table_to_general", core.table_to_general))
+    # every all-equal run is read off one rules(p), not rebuilt per input
+    read = counted("rules", core.rules)
+    monkeypatch.setattr(core, "rules", read)
+    monkeypatch.setattr(transforms, "rules", read)
     # flip_step rebuilds the flipped protocol once; make_iid rebuilds nothing
     rebuilds = ["materialize"] if rewrite is not make_iid else []
     from_table = rewrite(table36())
-    assert (walks, calls) == ([], rebuilds)
+    assert (walks, calls) == ([], ["rules"] + rebuilds)
     calls.clear()
     assert from_table == rewrite(g)
-    assert (walks, calls) == ([g], rebuilds)
+    # the walk over a general input reads its own rules first
+    assert (walks, calls) == ([g], ["rules", "rules"] + rebuilds)
 
 
 def test_missing_reachable_entry_raises():
