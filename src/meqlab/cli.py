@@ -7,8 +7,8 @@ deterministic; exit codes: 0 ok, 1 usage error or malformed protocol file
 (an `error:` line on stderr, never a traceback), 2 counterexample, 3 budget.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import constructions, serial, transforms
 from .core import MalformedProtocolError, TableProtocol, complexity, simulate
@@ -19,60 +19,130 @@ EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 
+# Each subcommand's help, its mutually exclusive options (whether one is
+# required, and which) and its arguments with their argparse keywords, in
+# help order. `_parse` and `_build_parser` both read this table.
+_SUBCOMMANDS = {
+    "build": ("write a stock protocol to a file", None, (
+        ("what", {"choices": ["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"]}),
+        ("base", {"nargs": "?", "help": "base protocol file (cdwrap only)"}),
+        ("--n", {"type": int}),
+        ("--M", {"type": int}),
+        ("--k", {"type": int}),
+        ("--h", {"type": int}),
+        ("--budget", {"type": int, "help": "enumeration budget (cdwrap only)"}),
+        ("--out", {"required": True}),
+    )),
+    "simulate": ("replay a protocol on one input vector", None, (
+        ("file", {}),
+        ("--x", {"required": True, "help": "comma-separated inputs, e.g. 1,2,1"}),
+    )),
+    "verify": ("exhaustively check a protocol file", (False, ("--ad", "--cd")), (
+        ("file", {}),
+        ("--ad", {"action": "store_true", "help": "anyone-detects contract (default)"}),
+        ("--cd", {"action": "store_true", "help": "centralized-detect contract"}),
+        ("--detector", {"type": int}),
+        ("--budget", {"type": int, "default": DEFAULT_BUDGET}),
+    )),
+    "transform": ("rewrite a protocol file", (True, ("--flip", "--iid")), (
+        ("file", {}),
+        ("--flip", {"type": int, "metavar": "L", "help": "reverse step L"}),
+        ("--iid", {"action": "store_true", "help": "normalize to per-link tables"}),
+        ("--out", {"required": True}),
+    )),
+    "search": ("exact three-node optimum for alphabet size M", None, (
+        ("--M", {"type": int, "required": True}),
+        ("--out", {"help": "write the witness protocol here"}),
+    )),
+    "figure": ("CSV of binary-construction cost vs the 2k baseline", None, (
+        ("--kmax", {"type": int, "required": True}),
+    )),
+}
+
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for `argv`, read without argparse, or
+    None when `argv` is not plainly well formed.
+
+    Plainly well formed means: a subcommand, then its options spelled in
+    full, each at most once and each value in the next word, and its
+    positionals in one unbroken run. Anything else, such as `-h`, an
+    abbreviation, `--opt=value`, a value that starts with "-", `--` or any
+    usage error, gives None, and argparse parses it instead: it words every
+    help text and error. A plain command line so never imports argparse,
+    whose first parser build imports `locale` through `gettext`.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, group, arguments = _SUBCOMMANDS[argv[0]]
+    options = dict(arguments)
+    values = {"command": argv[0]}
+    positionals = []  # (place in argv[1:], word)
+    words = enumerate(argv[1:])
+    for place, word in words:
+        if not word.startswith("-"):
+            positionals.append((place, word))
+            continue
+        option = options.get(word)
+        if option is None or word[2:] in values:
+            return None
+        if option.get("action") == "store_true":
+            values[word[2:]] = True
+            continue
+        value = next(words, (None, None))[1]
+        if value is None or value.startswith("-"):
+            return None
+        if option.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[word[2:]] = value
+    if positionals and positionals[-1][0] - positionals[0][0] >= len(positionals):
+        return None  # the run is broken by an option
+    names = [(name, argument) for name, argument in arguments if not name.startswith("-")]
+    if not sum("nargs" not in argument for _, argument in names) <= len(positionals) <= len(names):
+        return None
+    for (name, argument), (_, word) in zip(names, positionals):
+        if word not in argument.get("choices", (word,)):
+            return None
+        values[name] = word
+    if group:
+        required, members = group
+        chosen = [member for member in members if member[2:] in values]
+        if len(chosen) > 1 or required and not chosen:
+            return None
+    for name, argument in arguments:
+        dest = name.lstrip("-")
+        if dest not in values:
+            if argument.get("required"):
+                return None
+            values[dest] = False if argument.get("action") == "store_true" else argument.get("default")
+    return SimpleNamespace(**values)
 
 
-def _build_parser(only: str | None = None) -> _Parser:
-    """The meqlab parser, with every subcommand or only the one named `only`."""
-    parser = _Parser(prog="meqlab", description=__doc__.splitlines()[0])
+def _build_parser(only: str | None = None):
+    """The argparse parser for what `_parse` declines, with every subcommand
+    or only the one named `only`."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    parser = Parser(prog="meqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help, **kwargs):
-        return sub.add_parser(name, help=help, **kwargs) if only in (None, name) else None
-
-    # build's options stay absent unless given: _cmd_build refuses those its builder never reads
-    if build := add("build", "write a stock protocol to a file", argument_default=argparse.SUPPRESS):
-        build.add_argument("what", choices=["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"])
-        build.add_argument("base", nargs="?", help="base protocol file (cdwrap only)")
-        build.add_argument("--n", type=int)
-        build.add_argument("--M", type=int)
-        build.add_argument("--k", type=int)
-        build.add_argument("--h", type=int)
-        build.add_argument("--budget", type=int, help="enumeration budget (cdwrap only)")
-        build.add_argument("--out", required=True)
-
-    if sim := add("simulate", "replay a protocol on one input vector"):
-        sim.add_argument("file")
-        sim.add_argument("--x", required=True, help="comma-separated inputs, e.g. 1,2,1")
-
-    if ver := add("verify", "exhaustively check a protocol file"):
-        ver.add_argument("file")
-        mode = ver.add_mutually_exclusive_group()
-        mode.add_argument("--ad", action="store_true", help="anyone-detects contract (default)")
-        mode.add_argument("--cd", action="store_true", help="centralized-detect contract")
-        ver.add_argument("--detector", type=int, default=None)
-        ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    if tra := add("transform", "rewrite a protocol file"):
-        tra.add_argument("file")
-        op = tra.add_mutually_exclusive_group(required=True)
-        op.add_argument("--flip", type=int, metavar="L", help="reverse step L")
-        op.add_argument("--iid", action="store_true", help="normalize to per-link tables")
-        tra.add_argument("--out", required=True)
-
-    if sea := add("search", "exact three-node optimum for alphabet size M"):
-        sea.add_argument("--M", type=int, required=True)
-        sea.add_argument("--out", default=None, help="write the witness protocol here")
-
-    if fig := add("figure", "CSV of binary-construction cost vs the 2k baseline"):
-        fig.add_argument("--kmax", type=int, required=True)
+    for name, (help, group, arguments) in _SUBCOMMANDS.items():
+        if only not in (None, name):
+            continue
+        command = sub.add_parser(name, help=help)
+        exclusive = group and command.add_mutually_exclusive_group(required=group[0])
+        for argument, keywords in arguments:
+            (exclusive if group and argument in group[1] else command).add_argument(argument, **keywords)
     return parser
 
 
@@ -86,11 +156,12 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 def _cmd_build(args) -> int:
     readers = {"--budget": ("cdwrap",), "base": ("cdwrap",), "--n": ("star",), "--M": ("star",),
                "--k": ("bin2k",), "--h": ("ext6h", "par6h")}
+    given = {name: value for name, value in vars(args).items() if value is not None}
     for option, builders in readers.items():
-        if option.lstrip("-") in vars(args) and args.what not in builders:
+        if option.lstrip("-") in given and args.what not in builders:
             raise _UsageError(f"{option} applies only to build {' or '.join(builders)}")
     defaults = {"base": None, "n": 3, "M": 6, "k": 1, "h": 1, "budget": DEFAULT_BUDGET}
-    args = argparse.Namespace(**{**defaults, **vars(args)})
+    args = SimpleNamespace(**{**defaults, **given})
     if args.what == "star":
         p = constructions.star_protocol(args.n, args.M)
     elif args.what == "table36":
@@ -100,6 +171,7 @@ def _cmd_build(args) -> int:
     elif args.what == "par6h":
         if args.h < 1:
             raise ValueError("h must be at least 1")
+        constructions.check_table_size(3, 6, args.h)
         p = constructions.parallel_compose(constructions.table36(), 6**args.h)
     elif args.what == "bin2k":
         p = constructions.meq3_2k(args.k)
@@ -182,9 +254,8 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv) or _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         budget = getattr(args, "budget", None)  # only build and verify take a budget
         if budget is not None and budget < 1:
             raise _UsageError("--budget must be at least 1")

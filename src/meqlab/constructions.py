@@ -19,12 +19,27 @@ from .core import (
     materialize,
     rules,
 )
-from .verify import DEFAULT_BUDGET, verify_ad
+from .verify import DEFAULT_BUDGET, BudgetError, verify_ad
+
+
+def check_table_size(links: int, base: int, exponent: int = 1) -> None:
+    """Refuse, with BudgetError, a table protocol of `links` links over
+    M = base**exponent inputs when its links * M entries exceed
+    DEFAULT_BUDGET, so that a builder fails before it allocates them. Sizes
+    below one are left to the builders' own checks. An exponent beyond the
+    budget's bit length is refused by that comparison alone, so a huge power
+    is never computed."""
+    if links < 1 or base < 1 or exponent < 0:
+        return
+    if base > 1 and exponent > DEFAULT_BUDGET.bit_length() or links * base**exponent > DEFAULT_BUDGET:
+        M = base if exponent == 1 else f"{base}**{exponent}"
+        raise BudgetError(f"{links} link tables of {M} entries exceed budget {DEFAULT_BUDGET}")
 
 
 def star_protocol(n: int, M: int) -> TableProtocol:
     """Everyone sends their raw value to the last node, which compares."""
-    identity = tuple(range(1, check_int(M, "M") + 1))
+    check_table_size(check_int(n, "n") - 1, check_int(M, "M"))
+    identity = tuple(range(1, M + 1))
     links = tuple(LinkTable(i, n, identity) for i in range(1, n))
     return TableProtocol(n, M, links)
 
@@ -52,6 +67,7 @@ def extended_table(h: int) -> TableProtocol:
     """
     if check_int(h, "h") < 1:
         raise ValueError("h must be at least 1")
+    check_table_size(3, 6, h)
     M = 6**h
     half = M // 2
     ab = tuple((x + 1) // 2 for x in range(1, M + 1))
@@ -87,7 +103,8 @@ def parallel_compose(base: TableProtocol, M: int) -> TableProtocol:
     """
     if not isinstance(base, TableProtocol):
         raise ValueError("parallel_compose expects a table-kind protocol")
-    h = least_exponent(base.M, check_int(M, "M"))
+    check_table_size(len(base.links), check_int(M, "M"))
+    h = least_exponent(base.M, M)
     # product runs over table positions, so its first M tuples are the
     # link's symbols on the digit vectors of 1..M in order
     links = [
@@ -107,6 +124,7 @@ def meq3_2k(k: int) -> TableProtocol:
     Every link declares the full 2**b range (the word is transmitted bit by
     bit), so the cost is exactly 3b bits.
     """
+    check_table_size(3, 2, check_int(k, "k"))
     b = complexity_formula_2k(k) // 3
     links = parallel_compose(table36(), 2**k).links
     return TableProtocol(3, 2**k, tuple(LinkTable(lk.sender, lk.receiver, lk.symbols, 2**b) for lk in links))

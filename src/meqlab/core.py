@@ -290,16 +290,17 @@ def rules(p: Protocol):
     return [(st.sender, st.receiver) for st in p.steps], send, decide
 
 
-def replay(schedule: list[tuple[int, int]], send, values) -> tuple[list[int], list[tuple[int, ...]]]:
+def replay(schedule: list[tuple[int, int]], send, input_of) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     """One run of the schedule under the `send` rule (as `rules` returns it)
-    on node inputs `values`: the symbols in schedule order, and what each
-    node received."""
-    received = [()] * len(values)
+    where node i holds input ``input_of(i)``: the symbols in schedule order,
+    and what each node that receives anything received. Only the nodes the
+    schedule names are read, so a run costs O(steps) whatever n is."""
+    received = {}
     symbols = []
     for l, (sender, receiver) in enumerate(schedule):
-        sym = send(l, values[sender - 1], received[sender - 1])
+        sym = send(l, input_of(sender), received.get(sender, ()))
         symbols.append(sym)
-        received[receiver - 1] += (sym,)
+        received[receiver] = received.get(receiver, ()) + (sym,)
     return symbols, received
 
 
@@ -311,9 +312,10 @@ def simulate(p: Protocol, v) -> Transcript:
     """
     values = _check_vector(p, v)
     schedule, send, decide = rules(p)
-    symbols, received = replay(schedule, send, values)
-    decisions = tuple(decide(node, x, h) for node, (x, h) in enumerate(zip(values, received), 1))
-    return Transcript(tuple(symbols), tuple(received), decisions)
+    symbols, received = replay(schedule, send, lambda node: values[node - 1])
+    histories = tuple(received.get(node, ()) for node in range(1, len(values) + 1))
+    decisions = tuple(decide(node, x, h) for node, (x, h) in enumerate(zip(values, histories), 1))
+    return Transcript(tuple(symbols), histories, decisions)
 
 
 class Complexity(namedtuple("Complexity", ("product", "bits"))):

@@ -60,7 +60,7 @@ def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
     p = checked(p)
     l0 = _step(p, step_index)
     schedule, p_send, p_decide = rules(p)
-    expected = {x: replay(schedule, p_send, (x,) * p.n)[0][l0] for x in range(1, p.M + 1)}
+    expected = {x: replay(schedule, p_send, lambda node: x)[0][l0] for x in range(1, p.M + 1)}
     t_node, r_node = schedule[l0]
     smallest = [min(st.table.values()) for st in p.steps] if isinstance(p, GeneralProtocol) else None
     # where step l0 sits in T's and R's histories
@@ -111,7 +111,7 @@ def make_iid(p: Protocol) -> TableProtocol:
     """
     p = checked(p)
     schedule, send, _ = rules(p)
-    runs = [replay(schedule, send, (x,) * p.n)[0] for x in range(1, p.M + 1)]
+    runs = [replay(schedule, send, lambda node: x)[0] for x in range(1, p.M + 1)]
 
     by_link: dict[tuple[int, int], list[int]] = {}
     for l, step in enumerate(schedule):

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from meqlab import (
     BipartiteRep,
@@ -17,6 +21,16 @@ from meqlab import (
 )
 from meqlab.coloring import _is_canonical
 from meqlab.core import materialize, rules
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports meqlab from
+    this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                          text=True, timeout=60).stdout
 
 
 def dense_random_table(rng: random.Random, M: int) -> tuple[int, ...]:

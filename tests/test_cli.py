@@ -1,10 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meqlab import LinkTable, TableProtocol, cli, load_protocol, save_protocol, table36, table_to_general
 from meqlab.cli import run
+
+from conftest import fresh_python
 
 
 def test_verify_golden_line(tmp_path, capsys):
@@ -385,24 +392,185 @@ _DIFFERENTIAL_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", _DIFFERENTIAL_ARGV, ids=" ".join)
-def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
-    # run() builds only argv[0]'s subparser; forcing the full parser must not change a byte
-    seen = []
-    monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args: seen.append(vars(args)) or 0 for name in cli._COMMANDS})
+def typed(args):
+    """A namespace's values with their types, so that True and 1 differ."""
+    return {name: (type(value), value) for name, value in vars(args).items()}
 
-    def outcome():
+
+def outcome(argv, exact=True, full=False):
+    """(exit code, typed namespace, stdout, stderr) of `run(argv)` with
+    handlers that only record the namespace they are given. `exact=False`
+    turns off the parse without argparse; `full=True` also builds every
+    subparser instead of argv[0]'s alone."""
+    seen = []
+    handlers = {name: lambda args: seen.append(typed(args)) or 0 for name in cli._COMMANDS}
+    full_parser = cli._build_parser
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cli, "_COMMANDS", handlers))
+        if not exact:
+            stack.enter_context(mock.patch.object(cli, "_parse", lambda argv: None))
+        if full:
+            stack.enter_context(mock.patch.object(cli, "_build_parser", lambda only=None: full_parser()))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
         try:
             code = run(list(argv))
         except SystemExit as exit:  # -h prints the help and exits
             code = ("exit", exit.code)
-        out, err = capsys.readouterr()
-        return code, seen.pop() if seen else None, out, err
+    return code, seen[0] if seen else None, out.getvalue(), err.getvalue()
 
-    one = outcome()
-    full_parser = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full_parser())
-    assert outcome() == one
+
+@pytest.mark.parametrize("argv", _DIFFERENTIAL_ARGV, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(argv):
+    # neither the parse without argparse nor building argv[0]'s subparser alone may change a byte
+    assert outcome(argv) == outcome(argv, exact=False) == outcome(argv, exact=False, full=True)
+
+
+_OPTIONS_OF = {
+    "build": ["--n", "--M", "--k", "--h", "--budget", "--out"],
+    "simulate": ["--x"],
+    "verify": ["--ad", "--cd", "--detector", "--budget"],
+    "transform": ["--flip", "--iid", "--out"],
+    "search": ["--M", "--out"],
+    "figure": ["--kmax"],
+}
+_FLAGS = ["--ad", "--cd", "--iid"]
+_OTHER_OPTION_WORDS = [
+    "--o", "--ou", "--bud", "--de", "--c", "--a", "--km", "--ii", "--fl", "--b",  # abbreviated
+    "--out=f.json", "--kmax=3", "--M=6", "--budget=216", "--x=1,2,1", "--flip=3",
+    "--", "-h", "--help", "-", "--zz",
+]
+_INT_WORDS = ["1", "3", "6", "0", "216", " 5", "1_0"]
+_VALUE_WORDS = [*_INT_WORDS, "-1", "-5", "six", "1.5", "1,2,1", "", "f.json"]
+_BUILDERS = ["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"]
+_POSITIONAL_WORDS = ["t.json", "u.json", *_BUILDERS, "build", "-3"]
+
+
+def _joined(draw, command, pieces, positionals):
+    """argv of `command`: the option pieces in the drawn order, with the
+    positionals dropped in as one run or one by one."""
+    pieces = list(pieces)
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), positionals)
+    else:
+        for word in positionals:
+            pieces.insert(draw(st.integers(0, len(pieces))), [word])
+    return [command, *(word for words in pieces for word in words)]
+
+
+@st.composite
+def plain_lines(draw):
+    """A subcommand and only its own options, spelled in full, each at most
+    once, and mostly the positionals it takes: many of these are well formed."""
+    command = draw(st.sampled_from(list(_OPTIONS_OF)))
+    value = st.one_of(st.sampled_from(_INT_WORDS), st.sampled_from(_VALUE_WORDS))
+    pieces = [[option] if option in _FLAGS else [option, draw(value)]
+              for option in draw(st.permutations(_OPTIONS_OF[command])) if draw(st.integers(0, 3))]
+    if command == "build":
+        positionals = [draw(st.sampled_from([*_BUILDERS, "t.json"]))] + (["t.json"] if draw(st.booleans()) else [])
+    elif command in ("simulate", "verify", "transform"):
+        positionals = ["t.json"] + ([] if draw(st.integers(0, 3)) else ["u.json"])
+    else:
+        positionals = [] if draw(st.integers(0, 3)) else ["t.json"]
+    return _joined(draw, command, pieces, positionals)
+
+
+@st.composite
+def any_lines(draw):
+    """A subcommand or not, then any options, with or without a value."""
+    command = draw(st.sampled_from([*_OPTIONS_OF, "figuer", "-h", "--"]))
+    words = st.sampled_from([option for options in _OPTIONS_OF.values() for option in options] + _OTHER_OPTION_WORDS)
+    pieces = [[word, draw(st.sampled_from(_VALUE_WORDS))] if draw(st.booleans()) else [word]
+              for word in draw(st.lists(words, max_size=5))]
+    return _joined(draw, command, pieces, draw(st.lists(st.sampled_from(_POSITIONAL_WORDS), max_size=3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(plain_lines(), any_lines()))
+@example(["build", "cdwrap", "--out", "c.json", "t.json"])  # argparse: unrecognized arguments: t.json
+@example(["build", "--out", "c.json", "cdwrap", "t.json"])
+@example(["build", "t.json", "--out", "c.json"])  # argparse: invalid choice: 't.json'
+@example(["build", "cdwrap", "t.json", "--out", "c.json", "--budget", "7"])
+@example(["build", "table36", "--out", "t.json", "--budget", "-5"])
+@example(["verify", "--ad", "t.json", "--ad"])
+@example(["verify", "t.json", "--cd", "--detector", "2", "--budget", "216"])
+@example(["transform", "t.json", "--out=f.json", "--iid"])
+@example(["transform", "t.json", "--iid", "--out", "--flip"])
+@example(["simulate", "--", "t.json", "--x", "1,2,1"])
+@example(["search", "--M", "6", "--M", "7"])
+@example(["figure", "--kmax", " 3"])
+@example(["figure", "--kmax"])
+def test_exact_parse_agrees_with_argparse(argv):
+    exact = cli._parse(argv)
+    if exact is not None:
+        assert typed(exact) == typed(cli._build_parser(argv[0]).parse_args(argv))
+    assert outcome(argv) == outcome(argv, exact=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "cdwrap", "t.json", "--out", "c.json", "--budget", "7"],
+    ["build", "--out", "c.json", "cdwrap", "t.json"],
+    ["simulate", "t.json", "--x", "1,2,1"],
+    ["verify", "--ad", "b.json"],
+    ["verify", "t.json", "--cd", "--detector", "2"],
+    ["transform", "t.json", "--flip", "3", "--out", "f.json"],
+    ["search", "--M", "6", "--out", "w.json"],
+    ["figure", "--kmax", "3"],
+], ids=" ".join)
+def test_exact_parse_takes_plain_command_lines(argv):
+    assert cli._parse(argv) is not None
+
+
+def parent_parser():
+    """The parser as written before its arguments moved into one table,
+    kept as the reference for the help texts."""
+    parser = argparse.ArgumentParser(prog="meqlab", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    build = sub.add_parser("build", help="write a stock protocol to a file", argument_default=argparse.SUPPRESS)
+    build.add_argument("what", choices=["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"])
+    build.add_argument("base", nargs="?", help="base protocol file (cdwrap only)")
+    build.add_argument("--n", type=int)
+    build.add_argument("--M", type=int)
+    build.add_argument("--k", type=int)
+    build.add_argument("--h", type=int)
+    build.add_argument("--budget", type=int, help="enumeration budget (cdwrap only)")
+    build.add_argument("--out", required=True)
+    sim = sub.add_parser("simulate", help="replay a protocol on one input vector")
+    sim.add_argument("file")
+    sim.add_argument("--x", required=True, help="comma-separated inputs, e.g. 1,2,1")
+    ver = sub.add_parser("verify", help="exhaustively check a protocol file")
+    ver.add_argument("file")
+    mode = ver.add_mutually_exclusive_group()
+    mode.add_argument("--ad", action="store_true", help="anyone-detects contract (default)")
+    mode.add_argument("--cd", action="store_true", help="centralized-detect contract")
+    ver.add_argument("--detector", type=int, default=None)
+    ver.add_argument("--budget", type=int, default=cli.DEFAULT_BUDGET)
+    tra = sub.add_parser("transform", help="rewrite a protocol file")
+    tra.add_argument("file")
+    op = tra.add_mutually_exclusive_group(required=True)
+    op.add_argument("--flip", type=int, metavar="L", help="reverse step L")
+    op.add_argument("--iid", action="store_true", help="normalize to per-link tables")
+    tra.add_argument("--out", required=True)
+    sea = sub.add_parser("search", help="exact three-node optimum for alphabet size M")
+    sea.add_argument("--M", type=int, required=True)
+    sea.add_argument("--out", default=None, help="write the witness protocol here")
+    fig = sub.add_parser("figure", help="CSV of binary-construction cost vs the 2k baseline")
+    fig.add_argument("--kmax", type=int, required=True)
+    return parser
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([name, "-h"] for name in cli._COMMANDS)], ids=" ".join)
+def test_help_texts_are_unchanged(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit:
+        run(argv)
+    assert exit.value.code == 0
+    text = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        parent_parser().parse_args(argv)
+    assert text == capsys.readouterr().out
+    assert text.startswith(f"usage: meqlab {argv[0] + ' ' if len(argv) > 1 else ''}[-h]")
 
 
 def test_only_the_named_subparser_is_built(monkeypatch, capsys):
@@ -414,12 +582,24 @@ def test_only_the_named_subparser_is_built(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert run(["figure", "--kmax", "1"]) == 0
+    assert run(["figure", "--kmax", "1"]) == 0  # spelled in full: no parser at all
+    assert built == []
+    assert run(["figure", "--km", "1"]) == 0
     assert built == ["figure"]
     built.clear()
     assert run(["figuer", "--kmax", "1"]) == 1
     assert built == ["build", "simulate", "verify", "transform", "search", "figure"]
     assert "invalid choice: 'figuer'" in capsys.readouterr().err
+    # nor is argparse imported, nor gettext and locale, which its first parser build imports
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "started = set(sys.modules)\n"
+        "import meqlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = meqlab.cli.run(['figure', '--kmax', '1'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - started)))\n"
+    )
+    assert out == "0 []\n"
 
 
 @pytest.mark.parametrize(
@@ -438,4 +618,22 @@ def test_build_refuses_options_its_builder_never_reads(tmp_path, capsys, argv, m
     out = tmp_path / "x.json"
     assert run(["build", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bin2k", "--k", "40"], "3 link tables of 2**40 entries"),
+        (["star", "--M", "1000000000"], "2 link tables of 1000000000 entries"),
+        (["ext6h", "--h", "12"], "3 link tables of 6**12 entries"),
+        (["par6h", "--h", "12"], "3 link tables of 6**12 entries"),
+        (["par6h", "--h", "1000000000000"], "3 link tables of 6**1000000000000 entries"),
+    ],
+    ids=["bin2k", "star", "ext6h", "par6h", "par6h_huge_h"],
+)
+def test_oversized_build_is_a_budget_refusal(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.json"
+    assert run(["build", *argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"budget exceeded: {message} exceed budget 100000000\n"
     assert not out.exists()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,9 @@ from meqlab import (
     verify_ad,
     verify_cd,
 )
-from meqlab.constructions import least_exponent
+from meqlab import constructions
+from meqlab.constructions import check_table_size, least_exponent
+from meqlab.verify import BudgetError
 
 from conftest import tighten
 
@@ -233,3 +236,57 @@ def test_first_node_never_detects():
     for p in (table36(), meq3_2k(2), parallel_compose(table36(), 36)):
         for v in itertools.product(range(1, p.M + 1), repeat=3):
             assert simulate(p, v).decisions[0] == 0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: meq3_2k(40), "3 link tables of 2**40 entries"),
+        (lambda: meq3_2k(10**15), "3 link tables of 2**1000000000000000 entries"),
+        (lambda: extended_table(12), "3 link tables of 6**12 entries"),
+        (lambda: extended_table(10**15), "3 link tables of 6**1000000000000000 entries"),
+        (lambda: star_protocol(3, 10**9), "2 link tables of 1000000000 entries"),
+        (lambda: star_protocol(2 * 10**8, 1), "199999999 link tables of 1 entries"),
+        (lambda: parallel_compose(table36(), 10**9), "3 link tables of 1000000000 entries"),
+        (lambda: check_table_size(3, 2, 25), "3 link tables of 2**25 entries"),
+    ],
+    ids=["bin2k", "bin2k_huge_k", "ext6h", "ext6h_huge_h", "star_M", "star_n", "compose", "just_over"],
+)
+def test_builders_refuse_oversized_tables_before_allocating(build, message):
+    # a huge exponent is refused by comparing it, never by computing the power
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{message} exceed budget 100000000"
+    assert peak < 100_000
+
+
+def test_table_size_budget_is_links_times_M():
+    check_table_size(3, 2, 24)  # 50,331,648 entries
+    check_table_size(1, 10**8)
+    with pytest.raises(BudgetError):
+        check_table_size(1, 10**8 + 1)
+    for links, base, exponent in ((0, 10**9, 1), (3, 0, 1), (3, 2, -1), (-2, -10**9, 1)):
+        check_table_size(links, base, exponent)  # sizes the builders' own checks refuse
+
+
+@pytest.mark.parametrize(
+    "build, entries",
+    [
+        (lambda: meq3_2k(3), 3 * 8),
+        (lambda: extended_table(2), 3 * 36),
+        (lambda: star_protocol(4, 5), 3 * 5),
+        (lambda: parallel_compose(table36(), 10), 3 * 10),
+    ],
+    ids=["bin2k", "ext6h", "star", "compose"],
+)
+def test_each_builder_checks_its_table_entries_against_the_budget(monkeypatch, build, entries):
+    monkeypatch.setattr(constructions, "DEFAULT_BUDGET", entries - 1)
+    with pytest.raises(BudgetError, match=f"exceed budget {entries - 1}$"):
+        build()
+    monkeypatch.setattr(constructions, "DEFAULT_BUDGET", entries)
+    assert sum(len(lk.symbols) for lk in build().links) == entries

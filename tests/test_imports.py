@@ -1,15 +1,11 @@
 """What importing meqlab costs: a bare `import meqlab` loads no submodule, no
 command loads dataclasses, inspect, typing or the search module `coloring`
-it does not run, and the package still offers every public name, read from
-its home module on each access."""
+it does not run, none loads argparse at import, and the package still
+offers every public name, read from its home module on each access."""
 
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from importlib import import_module
-from pathlib import Path
 
 import pytest
 
@@ -18,15 +14,7 @@ from meqlab import EnumerationBudgetError, SearchBudgetError, coloring, verify
 from meqlab.cli import run
 from meqlab.verify import BudgetError
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def fresh_python(code: str) -> str:
-    """stdout of `code` run by a new interpreter that imports meqlab from
-    this checkout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
-                          text=True, timeout=60).stdout
+from conftest import fresh_python
 
 
 def test_cli_import_leaves_out_dataclasses_typing_and_coloring():
@@ -43,7 +31,7 @@ def test_cli_import_leaves_out_dataclasses_typing_and_coloring():
     )
     added, code, searched = json.loads(out)
     assert "meqlab.cli" in added and "meqlab.core" in added
-    assert not {"dataclasses", "inspect", "typing", "meqlab.coloring"} & set(added)
+    assert not {"dataclasses", "inspect", "typing", "meqlab.coloring", "argparse", "gettext", "locale"} & set(added)
     assert code == 0 and searched
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -348,3 +349,15 @@ def test_missing_reachable_entry_raises():
     # flipping step 1 leaves that input unflagged, so the gap still shows
     with pytest.raises(MalformedProtocolError):
         flip_step(gap, 1)
+
+
+def test_make_iid_of_a_wide_linkless_table_allocates_nothing_per_node():
+    # the all-equal runs read only the nodes the schedule names, not n of them
+    p = TableProtocol(10**6, 3, ())
+    tracemalloc.start()
+    try:
+        assert make_iid(p) == p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
