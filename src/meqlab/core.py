@@ -4,16 +4,21 @@ A protocol runs on n nodes, each holding a private value in 1..M. It is a
 finite, fixed schedule of point-to-point transmissions; every transmitted
 symbol is a small positive integer read from a lookup table, and every node
 ends with a one-bit decision (0 = "inputs may all be equal", 1 = "mismatch
-seen"). All operations are pure. The types are frozen after construction;
-their step and decision tables are read-only views of the dicts they were
-built from, not copies, so only a caller that kept such a dict can change one.
+seen"). All operations are pure.
+
+A general protocol's step and decision tables are history-major: one row
+``{input: value}`` per history. Inside a transcript rectangle every node's
+history is fixed, so a reader fetches a row once and maps its inputs through
+it. The types are frozen after construction; each table is a read-only view
+of a new dict of read-only views of the rows it was built from, which are not
+copied, so only a caller that kept a row can change one.
 """
 
 import math
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, groupby, repeat
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, getitem, methodcaller
 from types import MappingProxyType
 
 
@@ -51,6 +56,42 @@ def placed(part: str, build, *args):
 def _view(table) -> MappingProxyType:
     """A read-only view of `table`, which is not copied; a view as it is."""
     return table if type(table) is MappingProxyType else MappingProxyType(table)
+
+
+_values = methodcaller("values")
+
+
+def _rows(table, what: str, allowed: range, bad_value) -> MappingProxyType:
+    """`table`, ``{history: {input: value}}``, as a read-only view of
+    read-only rows; one already so wrapped is returned as it is.
+
+    Every history must be a tuple of ints, every row a non-empty dict, every
+    input an int and every value an int in `allowed`. The checks run a
+    column at a time at C speed, each distinct history once. Only a refused
+    table is walked, in row order, to raise the ValueError of its first bad
+    entry; `bad_value(value)` words the one of a bad value.
+    """
+    histories, rows = table.keys(), table.values()
+    row_types = set(map(type, rows))
+    values = list(chain.from_iterable(map(_values, rows))) if row_types <= {dict, MappingProxyType} else None
+    if values is None or not (
+            all(rows)
+            and set(map(type, histories)) <= {tuple}
+            and set(map(type, chain.from_iterable(histories))) <= {int}
+            and set(map(type, chain.from_iterable(rows))) <= {int}
+            and set(map(type, values)) <= {int}
+            and (not values or allowed.start <= min(values) and max(values) < allowed.stop)):
+        for h, row in table.items():
+            if type(row) not in (dict, MappingProxyType) or not row:
+                raise ValueError(f"{what} row for history {h!r} is not a non-empty dict")
+            for x, value in row.items():
+                if not (type(x) is int and type(h) is tuple and set(map(type, h)) <= {int}):
+                    raise ValueError(f"{what} key {(x, h)!r} is not (input, history)")
+                if type(value) is not int or value not in allowed:
+                    raise ValueError(bad_value(value))
+    if type(table) is MappingProxyType and row_types <= {MappingProxyType}:
+        return table
+    return MappingProxyType(dict(zip(histories, map(_view, rows))))
 
 
 def _plain(value):
@@ -98,7 +139,7 @@ class Frozen:
 class Step(Frozen):
     """One scheduled transmission.
 
-    `sender` transmits ``table[(x, history)]`` to `receiver`, where x is the
+    `sender` transmits ``table[history][x]`` to `receiver`, where x is the
     sender's own input and `history` is the tuple of symbols the sender has
     received on earlier steps, in schedule order. `range_size` is the number
     of symbols the step is allowed to use. Constructors in this package emit
@@ -116,25 +157,16 @@ class Step(Frozen):
             raise ValueError("sender and receiver must differ")
         if check_int(range_size, "range") < 1:
             raise ValueError("range_size must be positive")
-        keys, syms = table.keys(), table.values()
-        # checked a column at a time at C speed; only a refused table is walked
-        if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
-                and set(map(type, map(itemgetter(1), keys))) <= {tuple}
-                and set(map(type, chain(syms, map(itemgetter(0), keys), *map(itemgetter(1), keys)))) <= {int}
-                and (not syms or 1 <= min(syms) and max(syms) <= range_size)):
-            for key, sym in table.items():
-                if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is int
-                        and isinstance(key[1], tuple) and set(map(type, key[1])) <= {int}):
-                    raise ValueError(f"table key {key!r} is not (input, history)")
-                if not 1 <= check_int(sym, "symbol") <= range_size:
-                    raise ValueError(f"symbol {sym} outside 1..{range_size}")
-        self._set(sender, receiver, _view(table), range_size)
+        # check_int words the error of a symbol that is no integer
+        table = _rows(table, "table", range(1, range_size + 1),
+                      lambda sym: f"symbol {check_int(sym, 'symbol')} outside 1..{range_size}")
+        self._set(sender, receiver, table, range_size)
 
 
 class GeneralProtocol(Frozen):
     """Ordered schedule of steps plus per-node decision tables.
 
-    `decisions` maps a node id to ``{(x, full received history): bit}``.
+    `decisions` maps a node id to ``{full received history: {x: bit}}``.
     A node absent from `decisions` always decides 0, which is the correct
     behaviour for nodes that never receive anything.
     """
@@ -148,13 +180,13 @@ class GeneralProtocol(Frozen):
             for node in (st.sender, st.receiver):
                 if not 1 <= node <= n:
                     raise ValueError(f"step {index}: node {node} outside 1..{n}")
+        views = {}
         for node, table in decisions.items():
             if not 1 <= check_int(node, "decision node") <= n:
                 raise ValueError(f"decision node {node} outside 1..{n}")
-            if not (set(map(type, table.values())) <= {int} and set(table.values()) <= {0, 1}):
-                bit = next(bit for bit in table.values() if type(bit) is not int or bit not in (0, 1))
-                raise ValueError(f"decision {bit!r} for node {node} is not a bit")
-        self._set(n, M, steps, MappingProxyType({node: _view(table) for node, table in decisions.items()}))
+            views[node] = _rows(table, f"node {node} decision table", range(2),
+                                lambda bit: f"decision {bit!r} for node {node} is not a bit")
+        self._set(n, M, steps, MappingProxyType(views))
 
 
 class LinkTable(Frozen):
@@ -211,12 +243,6 @@ class TableProtocol(Frozen):
                 raise ValueError(f"link {index} not strictly after link {index - 1} by (sender, receiver)")
             prev = key
         self._set(n, M, links)
-
-    def link(self, sender: int, receiver: int) -> LinkTable:
-        for lk in self.links:
-            if (lk.sender, lk.receiver) == (sender, receiver):
-                return lk
-        raise KeyError((sender, receiver))
 
 
 Protocol = GeneralProtocol | TableProtocol
@@ -275,7 +301,7 @@ def rules(p: Protocol):
     def send(l, x, h):
         st = p.steps[l]
         try:
-            return st.table[x, h]
+            return st.table[h][x]
         except KeyError:
             raise MalformedProtocolError(
                 f"step {l + 1} ({st.sender}->{st.receiver}): no entry for {(x, h)}"
@@ -283,7 +309,7 @@ def rules(p: Protocol):
 
     def decide(node, x, h):
         try:
-            return p.decisions[node][x, h] if node in p.decisions else 0
+            return p.decisions[node][h][x] if node in p.decisions else 0
         except KeyError:
             raise MalformedProtocolError(f"node {node}: no decision for {(x, h)}") from None
 
@@ -385,8 +411,8 @@ def decided_rectangles(p: GeneralProtocol) -> Iterator:
     for sets, histories in rectangles(p.n, p.M, schedule, send):
         bits = []
         for node, (xs, h) in enumerate(zip(sets, histories), 1):
-            try:  # one read per leaf; the rule decides a node without a table, or names the missing entry
-                bits.append(list(map(getitem, repeat(p.decisions[node]), zip(xs, repeat(h)))))
+            try:  # one row per node and leaf; the rule decides a node without a table, or names the missing entry
+                bits.append(list(map(getitem, repeat(p.decisions[node][h]), xs)))
             except KeyError:
                 bits.append([decide(node, x, h) for x in xs])
         yield sets, bits
@@ -412,11 +438,11 @@ def materialize(
     """Rebuild dense lookup tables for a protocol given node-local rules.
 
     `send` and `decide` are rules as `rules` returns them. One walk over the
-    transcript rectangles keys the tables by exactly the reachable (input,
-    history) pairs, with the symbols as returned. Afterwards the realized
-    symbols of each step are renumbered to 1..S in ascending order, in table
-    values and history keys alike; a table whose symbols are all dense
-    already is kept as built.
+    transcript rectangles records exactly the reachable rows, with the
+    symbols as returned. Afterwards the realized symbols of each step are
+    renumbered to 1..S in ascending order, in row values and history keys
+    alike, each history key once per row; a table whose symbols are all
+    dense already is kept as built.
 
     `ranges`, if given, holds one declared range_size per step in schedule
     order (for fixed-width framing), in place of the realized counts; Step
@@ -427,19 +453,22 @@ def materialize(
     tables = [{} for _ in schedule]
 
     def record(l, x, h):
-        if (x, h) not in tables[l]:
-            tables[l][x, h] = send(l, x, h)
-        return tables[l][x, h]
+        row = tables[l].get(h)
+        if row is None:
+            row = tables[l][h] = {}
+        if x not in row:
+            row[x] = send(l, x, h)
+        return row[x]
 
     decision_tables = {node: {} for node in range(1, n + 1)}
     for sets, histories in rectangles(n, M, schedule, record):
         for node, (xs, h) in enumerate(zip(sets, histories), 1):
-            table = decision_tables[node]
+            row = decision_tables[node].setdefault(h, {})
             for x in xs:
-                if (x, h) not in table:
-                    table[x, h] = decide(node, x, h)
+                if x not in row:
+                    row[x] = decide(node, x, h)
 
-    remaps = [_ranks(table.values()) for table in tables]
+    remaps = [_ranks(chain.from_iterable(map(_values, table.values()))) for table in tables]
     dense = [all(sym == rank for sym, rank in remap.items()) for remap in remaps]
     # a history holds one symbol per step its owner received on, in schedule order
     heard = {node: [l for l, (_, r) in enumerate(schedule) if r == node] for node in range(1, n + 1)}
@@ -449,10 +478,10 @@ def materialize(
         through `outputs` (None: kept); the table itself if nothing changes."""
         if outputs is None and all(dense[l] for l in heard[node]):
             return table
+        ranks = [remaps[l] for l in heard[node]]
         return {
-            (x, tuple(remaps[l][sym] for l, sym in zip(heard[node], history))):
-                outputs[out] if outputs else out
-            for (x, history), out in table.items()
+            tuple(map(getitem, ranks, history)): {x: outputs[out] for x, out in row.items()} if outputs else row
+            for history, row in table.items()
         }
 
     steps = []

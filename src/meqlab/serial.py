@@ -7,6 +7,12 @@ level of the fixed schema, without building the document. Reading back what
 was written reproduces the original object exactly, so files are a faithful
 interchange format between the CLI subcommands.
 
+A general file lists each table as entries sorted by (input, history); in
+memory a table is history-major, one row {input: output} per history (see
+`core`). The reader groups the entries into rows in one pass, whatever
+their order; the writer reads the rows in history order and files each
+entry under its input, so no entry is sorted on its own.
+
 `load_protocol` pauses the process-wide cyclic garbage collector while it
 decodes and builds, then restores the caller's setting; nothing it builds
 can form a reference cycle. A file nested deeper than the JSON decoder
@@ -16,7 +22,7 @@ allows is malformed, like any other file that breaks the schema
 
 import gc
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -74,16 +80,19 @@ def _columns(entries: list, what: str):
 
 
 def _lookup(raw, what: str) -> dict:
-    """An (input, history) -> output table from its list of entries."""
+    """A ``{history: {input: output}}`` table from its list of entries,
+    grouped into rows in one pass."""
     entries = _list(raw, what)
     inputs, histories, outs = _columns(entries, what)
-    table = dict(zip(zip(inputs, map(tuple, histories)), outs))
+    rows = defaultdict(dict)
+    for h, x, out in zip(map(tuple, histories), inputs, outs):
+        rows[h][x] = out
     # a repeated key would silently keep its last copy; the count shows one
-    if len(table) < len(entries):
+    if sum(map(len, rows.values())) < len(entries):
         keys = Counter((e["input"], tuple(e["history"])) for e in entries)
         key = next(k for k, count in keys.items() if count > 1)
         raise ValueError(f"{what} has more than one entry for (input, history) {key}")
-    return table
+    return rows
 
 
 def protocol_from_doc(doc: dict) -> Protocol:
@@ -148,17 +157,21 @@ def _link_text(lk: LinkTable) -> str:
     )
 
 
-def _table_text(table: dict, histories: dict) -> str:
-    """A step's or decision's "table" field: its (input, history) -> out
-    entries as a list sorted by key. `histories` caches the rendered text of
-    each history, which many inputs share."""
-    for h in set(map(itemgetter(1), table)) - histories.keys():
+def _table_text(table, histories: dict) -> str:
+    """A step's or decision's "table" field: its entries as a list sorted by
+    (input, history). The rows are read in history order and each entry is
+    filed under its input, so nothing is sorted per entry. `histories`
+    caches the rendered text of each history, which many tables share."""
+    for h in table.keys() - histories.keys():
         histories[h] = _array(list(map(str, h)), 10)
-    # sorting the keys alone, not the items, halves the cost of the sort
-    return _array([
-        f'{{\n          "history": {histories[key[1]]},\n          "input": {key[0]},\n          "out": {table[key]}\n        }}'
-        for key in sorted(table)
-    ], 6)
+    by_input = defaultdict(list)
+    for h in sorted(table):
+        history = histories[h]
+        for x, out in table[h].items():
+            by_input[x].append(
+                f'{{\n          "history": {history},\n          "input": {x},\n          "out": {out}\n        }}'
+            )
+    return _array(list(chain.from_iterable(map(by_input.get, sorted(by_input)))), 6)
 
 
 def dumps(p: Protocol) -> str:

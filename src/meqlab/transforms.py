@@ -62,7 +62,8 @@ def flip_step(p: Protocol, step_index: int) -> GeneralProtocol:
     schedule, p_send, p_decide = rules(p)
     expected = {x: replay(schedule, p_send, lambda node: x)[0][l0] for x in range(1, p.M + 1)}
     t_node, r_node = schedule[l0]
-    smallest = [min(st.table.values()) for st in p.steps] if isinstance(p, GeneralProtocol) else None
+    smallest = [min(min(row.values()) for row in st.table.values()) for st in p.steps] \
+        if isinstance(p, GeneralProtocol) else None
     # where step l0 sits in T's and R's histories
     k_t = sum(r == t_node for _, r in schedule[:l0])
     k_r = sum(r == r_node for _, r in schedule[:l0])

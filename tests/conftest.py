@@ -73,6 +73,29 @@ def random_correct_protocol(rng: random.Random, M: int) -> TableProtocol:
     ))
 
 
+def rows(entries: dict) -> dict:
+    """The ``{history: {input: value}}`` table of ``{(input, history):
+    value}`` entries, the form the tests spell tables in."""
+    table = {}
+    for (x, h), value in entries.items():
+        table.setdefault(h, {})[x] = value
+    return table
+
+
+def entries(table) -> dict:
+    """The ``{(input, history): value}`` entries of a ``{history: {input:
+    value}}`` table; `rows` inverts it."""
+    return {(x, h): value for h, row in table.items() for x, value in row.items()}
+
+
+def link(t: TableProtocol, sender: int, receiver: int) -> LinkTable:
+    """The link of t from `sender` to `receiver`; KeyError if t has none."""
+    for lk in t.links:
+        if (lk.sender, lk.receiver) == (sender, receiver):
+            return lk
+    raise KeyError((sender, receiver))
+
+
 def eq_oracle(v) -> int:
     """0 if every node holds the same value, 1 otherwise."""
     values = tuple(v)
@@ -89,9 +112,9 @@ def to_bipartite(t: TableProtocol) -> BipartiteRep:
     if t.n != 3:
         raise ValueError("bipartite view is defined for three-node protocols")
     try:
-        ab = t.link(1, 2).symbols
-        ac = t.link(1, 3).symbols
-        t.link(2, 3)
+        ab = link(t, 1, 2).symbols
+        ac = link(t, 1, 3).symbols
+        link(t, 2, 3)
     except KeyError as missing:
         raise ValueError(f"protocol lacks link {missing.args[0]}") from None
     return BipartiteRep(max(ab), max(ac), tuple(zip(ab, ac)))
@@ -201,17 +224,17 @@ def materialize_oracle(n, M, schedule, semantics, ranges=None) -> GeneralProtoco
     for l, (sender, receiver) in enumerate(schedule):
         size = len(ranks[l]) if ranges is None else ranges[l]
         table = {renumber(sender, key): ranks[l][sym] for key, sym in tables[l].items()}
-        steps.append(Step(sender, receiver, table, size))
+        steps.append(Step(sender, receiver, rows(table), size))
     decisions = {
-        node: {renumber(node, key): bit for key, bit in table.items()}
+        node: rows({renumber(node, key): bit for key, bit in table.items()})
         for node, table in decision_tables.items()
     }
     return GeneralProtocol(n, M, tuple(steps), decisions)
 
 
-def _entries(table: dict) -> list:
-    """The list of entries of an (input, history) -> output table."""
-    return [{"input": x, "history": list(hist), "out": out} for (x, hist), out in sorted(table.items())]
+def _entries(table) -> list:
+    """The list of entries of a {history: {input: output}} table."""
+    return [{"input": x, "history": list(hist), "out": out} for (x, hist), out in sorted(entries(table).items())]
 
 
 def protocol_to_doc(p) -> dict:

@@ -32,7 +32,7 @@ from meqlab import (
 from meqlab import LinkTable, TableProtocol, conflict_pairs
 from meqlab.cli import run
 
-from conftest import random_correct_protocol, to_bipartite
+from conftest import link, random_correct_protocol, to_bipartite
 
 
 def check(number: int, limit: float | None, body):
@@ -152,21 +152,21 @@ def test_criterion_7_necessity_mutations():
     def body():
         t = table36()
         collided = TableProtocol(3, 6, (
-            t.link(1, 2),
+            link(t, 1, 2),
             LinkTable(1, 3, (1, 1, 2, 3, 3, 1)),  # inputs 1,2 now collide
-            t.link(2, 3),
+            link(t, 2, 3),
         ))
         assert not verify_ad(collided).ok
         graph = to_bipartite(t)
-        bc = t.link(2, 3).symbols
+        bc = link(t, 2, 3).symbols
         pairs = sorted(conflict_pairs(graph))
         assert len(pairs) == 12
         for x, y in pairs:
             mutated = list(bc)
             mutated[y - 1] = bc[x - 1]
             broken = TableProtocol(3, 6, (
-                t.link(1, 2),
-                t.link(1, 3),
+                link(t, 1, 2),
+                link(t, 1, 3),
                 LinkTable(2, 3, tuple(mutated)),
             ))
             verdict = verify_ad(broken)

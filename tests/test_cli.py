@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from meqlab import LinkTable, TableProtocol, cli, load_protocol, save_protocol, table36, table_to_general
 from meqlab.cli import run
 
-from conftest import fresh_python
+from conftest import fresh_python, link
 
 
 def test_verify_golden_line(tmp_path, capsys):
@@ -24,9 +24,9 @@ def test_verify_golden_line(tmp_path, capsys):
 
 def test_verify_counterexample_exit_code(tmp_path, capsys):
     t = table36()
-    bc = list(t.link(2, 3).symbols)
+    bc = list(link(t, 2, 3).symbols)
     bc[3] = 2
-    broken = TableProtocol(3, 6, (t.link(1, 2), t.link(1, 3), LinkTable(2, 3, tuple(bc))))
+    broken = TableProtocol(3, 6, (link(t, 1, 2), link(t, 1, 3), LinkTable(2, 3, tuple(bc))))
     path = tmp_path / "broken.json"
     save_protocol(broken, path)
     code = run(["verify", "--ad", str(path)])

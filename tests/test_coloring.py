@@ -27,7 +27,14 @@ from meqlab import (
     verify_ad,
 )
 
-from conftest import canonical_oracle, conflict_oracle, random_correct_protocol, search_oracle, to_bipartite
+from conftest import (
+    canonical_oracle,
+    conflict_oracle,
+    link,
+    random_correct_protocol,
+    search_oracle,
+    to_bipartite,
+)
 from meqlab import coloring
 from meqlab.coloring import _edge_sets, _is_canonical
 
@@ -102,7 +109,7 @@ def test_conflicts_of_table36_graph():
     everything = {(x, y) for x in range(1, 7) for y in range(x + 1, 7)}
     assert everything - pairs == {(1, 4), (2, 5), (3, 6)}
     # the protocol's own third link separates every conflicting pair
-    bc = table36().link(2, 3).symbols
+    bc = link(table36(), 2, 3).symbols
     for x, y in pairs:
         assert bc[x - 1] != bc[y - 1]
 
@@ -274,7 +281,7 @@ def test_construction_catches_a_wrong_conflict_scan(monkeypatch):
 
 def test_protocol_from_coloring_round_trip():
     t = table36()
-    inst = ColoringInstance(to_bipartite(t), t.link(2, 3).symbols)
+    inst = ColoringInstance(to_bipartite(t), link(t, 2, 3).symbols)
     assert protocol_from_coloring(inst) == t
 
 
@@ -289,7 +296,7 @@ def test_valid_instances_from_random_correct_protocols():
     rng = random.Random(31)
     for _ in range(10):
         t = random_correct_protocol(rng, 6)
-        inst = ColoringInstance(to_bipartite(t), t.link(2, 3).symbols)
+        inst = ColoringInstance(to_bipartite(t), link(t, 2, 3).symbols)
         assert verify_ad(protocol_from_coloring(inst)).ok
 
 

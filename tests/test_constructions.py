@@ -21,7 +21,7 @@ from meqlab import constructions
 from meqlab.constructions import check_table_size, least_exponent
 from meqlab.verify import BudgetError
 
-from conftest import tighten
+from conftest import link, tighten
 
 
 def test_star_complexity():
@@ -37,9 +37,9 @@ def test_star_correctness():
 
 def test_table36_rows():
     t = table36()
-    assert t.link(1, 2).symbols[2] == 2
-    assert t.link(1, 3).symbols[3] == 3
-    assert t.link(2, 3).symbols[4] == 2
+    assert link(t, 1, 2).symbols[2] == 2
+    assert link(t, 1, 3).symbols[3] == 3
+    assert link(t, 2, 3).symbols[4] == 2
     assert complexity(t).product == 27
     assert complexity(t).bits == pytest.approx(math.log2(27), abs=1e-12)
 
@@ -221,11 +221,11 @@ def test_cd_wrapper_n4():
 
 def test_cd_wrapper_rejects_incorrect_base():
     t = table36()
-    bc = list(t.link(2, 3).symbols)
+    bc = list(link(t, 2, 3).symbols)
     bc[3] = 2
     from meqlab import LinkTable, TableProtocol
 
-    broken = TableProtocol(3, 6, (t.link(1, 2), t.link(1, 3), LinkTable(2, 3, tuple(bc))))
+    broken = TableProtocol(3, 6, (link(t, 1, 2), link(t, 1, 3), LinkTable(2, 3, tuple(bc))))
     with pytest.raises(ValueError):
         cd_wrapper(broken)
 

@@ -20,7 +20,7 @@ from meqlab import (
 )
 from meqlab.core import materialize, rectangles, rules
 
-from conftest import eq_oracle, tighten
+from conftest import entries, eq_oracle, rows, tighten
 
 
 def test_eq_oracle_basic():
@@ -77,15 +77,15 @@ def test_simulate_inputs_must_be_integers(x):
 
 
 def test_missing_step_entry_is_malformed():
-    step = Step(1, 2, {(1, ()): 1}, 1)
+    step = Step(1, 2, rows({(1, ()): 1}), 1)
     p = GeneralProtocol(2, 2, (step,))
     with pytest.raises(MalformedProtocolError):
         simulate(p, (2, 1))
 
 
 def test_missing_decision_entry_is_malformed():
-    step = Step(1, 2, {(1, ()): 1, (2, ()): 1}, 1)
-    p = GeneralProtocol(2, 2, (step,), {2: {(1, (1,)): 0}})
+    step = Step(1, 2, rows({(1, ()): 1, (2, ()): 1}), 1)
+    p = GeneralProtocol(2, 2, (step,), {2: rows({(1, (1,)): 0})})
     with pytest.raises(MalformedProtocolError):
         simulate(p, (1, 2))
 
@@ -171,10 +171,10 @@ def test_tighten_renumbers_sparse_symbols_in_histories():
         return key[0], tuple(2 * s for s in key[1])
 
     sparse = GeneralProtocol(3, 6, (
-        Step(1, 2, {key: 2 * s for key, s in first.table.items()}, 6),
+        Step(1, 2, rows({key: 2 * s for key, s in entries(first.table).items()}), 6),
         second,
-        Step(2, 3, {doubled(key): s for key, s in third.table.items()}, 3),
-    ), {**g.decisions, 2: {doubled(key): bit for key, bit in g.decisions[2].items()}})
+        Step(2, 3, rows({doubled(key): s for key, s in entries(third.table).items()}), 3),
+    ), {**g.decisions, 2: rows({doubled(key): bit for key, bit in entries(g.decisions[2]).items()})})
     assert tighten(sparse) == g
 
 
@@ -186,7 +186,7 @@ def test_schedule_causality():
     twisted = GeneralProtocol(3, 6, (
         g.steps[0],
         g.steps[1],
-        Step(last.sender, last.receiver, {k: relabel[s] for k, s in last.table.items()}, 3),
+        Step(last.sender, last.receiver, rows({k: relabel[s] for k, s in entries(last.table).items()}), 3),
     ))
     for v in itertools.product(range(1, 7), repeat=3):
         assert simulate(g, v).symbols[:2] == simulate(twisted, v).symbols[:2]
@@ -243,19 +243,19 @@ def test_materialize_takes_one_range_per_step(ranges):
     [
         (lambda: Step(1, 1, {}, 1), "sender and receiver must differ"),
         (lambda: Step(1, 2, {}, 0), "range_size must be positive"),
-        (lambda: Step(1, 2, {1: 1}, 1), "table key 1 is not (input, history)"),
+        (lambda: Step(1, 2, {1: {1: 1}}, 1), "table key (1, 1) is not (input, history)"),
         # a key's input and history symbols are integers, as a file writes them
-        (lambda: Step(1, 2, {(True, ()): 1}, 1), "table key (True, ()) is not (input, history)"),
-        (lambda: Step(1, 2, {(1.0, ()): 1}, 1), "table key (1.0, ()) is not (input, history)"),
-        (lambda: Step(1, 2, {(1, (2, False)): 1}, 1), "table key (1, (2, False)) is not (input, history)"),
-        (lambda: Step(1, 2, {(1, 2): 1}, 1), "table key (1, 2) is not (input, history)"),
+        (lambda: Step(1, 2, rows({(True, ()): 1}), 1), "table key (True, ()) is not (input, history)"),
+        (lambda: Step(1, 2, rows({(1.0, ()): 1}), 1), "table key (1.0, ()) is not (input, history)"),
+        (lambda: Step(1, 2, rows({(1, (2, False)): 1}), 1), "table key (1, (2, False)) is not (input, history)"),
+        (lambda: Step(1, 2, rows({(1, 2): 1}), 1), "table key (1, 2) is not (input, history)"),
         # the first refused entry is named, whichever check refuses it
-        (lambda: Step(1, 2, {(1, ()): 3, (2.0, ()): 1}, 2), "symbol 3 outside 1..2"),
-        (lambda: Step(1, 2, {(1, ()): 1, (2, (), 3): 1}, 1), "table key (2, (), 3) is not (input, history)"),
-        (lambda: Step(1, 2, {(1, ()): 2}, 1), "symbol 2 outside 1..1"),
+        (lambda: Step(1, 2, rows({(1, ()): 3, (2.0, ()): 1}), 2), "symbol 3 outside 1..2"),
+        (lambda: Step(1, 2, {(): {1: 1}, (1,): {}}, 1), "table row for history (1,) is not a non-empty dict"),
+        (lambda: Step(1, 2, rows({(1, ()): 2}), 1), "symbol 2 outside 1..1"),
         (lambda: GeneralProtocol(2, 2, (Step(1, 3, {}, 1),)), "step 1: node 3 outside 1..2"),
         (lambda: GeneralProtocol(2, 2, (), {3: {}}), "decision node 3 outside 1..2"),
-        (lambda: GeneralProtocol(2, 2, (), {2: {(1, ()): 2}}), "decision 2 for node 2 is not a bit"),
+        (lambda: GeneralProtocol(2, 2, (), {2: rows({(1, ()): 2})}), "decision 2 for node 2 is not a bit"),
         (lambda: LinkTable(2, 2, (1,)), "sender and receiver must differ"),
         (lambda: LinkTable(1, 2, ()), "empty symbol table"),
         (lambda: TableProtocol(2, 1, (LinkTable(1, 3, (1,)),)), "link 1 endpoint outside 1..2"),
@@ -265,12 +265,12 @@ def test_materialize_takes_one_range_per_step(ranges):
         (lambda: LinkTable(True, 2, (1,)), "link endpoint must be an integer, got True"),
         (lambda: LinkTable(1, 2, (1,), 1.0), "range must be an integer, got 1.0"),
         (lambda: TableProtocol(3.0, 1, ()), "n must be an integer, got 3.0"),
-        (lambda: Step(1, 2, {(1, ()): 1.0}, 1), "symbol must be an integer, got 1.0"),
-        (lambda: Step(1, 2, {(1, ()): True}, 1), "symbol must be an integer, got True"),
+        (lambda: Step(1, 2, rows({(1, ()): 1.0}), 1), "symbol must be an integer, got 1.0"),
+        (lambda: Step(1, 2, rows({(1, ()): True}), 1), "symbol must be an integer, got True"),
         (lambda: Step(1, 2.0, {}, 1), "step endpoint must be an integer, got 2.0"),
         (lambda: Step(1, 2, {}, True), "range must be an integer, got True"),
-        (lambda: GeneralProtocol(2, 2, (), {2: {(1, ()): True}}), "decision True for node 2 is not a bit"),
-        (lambda: GeneralProtocol(2, 2, (), {2: {(1, ()): 0.0}}), "decision 0.0 for node 2 is not a bit"),
+        (lambda: GeneralProtocol(2, 2, (), {2: rows({(1, ()): True})}), "decision True for node 2 is not a bit"),
+        (lambda: GeneralProtocol(2, 2, (), {2: rows({(1, ()): 0.0})}), "decision 0.0 for node 2 is not a bit"),
         (lambda: GeneralProtocol(2, 2, (), {True: {}}), "decision node must be an integer, got True"),
         (lambda: GeneralProtocol(2, True, ()), "M must be an integer, got True"),
     ],
@@ -278,4 +278,27 @@ def test_materialize_takes_one_range_per_step(ranges):
 def test_constructor_rejects(build, message):
     with pytest.raises(ValueError) as info:
         build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "decisions, message",
+    [
+        # a bare (input, history) key: `dumps` used to end in a TypeError on it
+        ({2: {5: 0}}, "node 2 decision table row for history 5 is not a non-empty dict"),
+        ({2: {(1,): {}}}, "node 2 decision table row for history (1,) is not a non-empty dict"),
+        ({2: {(1,): [0, 1]}}, "node 2 decision table row for history (1,) is not a non-empty dict"),
+        ({2: {1: {1: 0}}}, "node 2 decision table key (1, 1) is not (input, history)"),
+        ({2: rows({(1, (1.0,)): 0})}, "node 2 decision table key (1, (1.0,)) is not (input, history)"),
+        ({2: rows({(1, (True,)): 0})}, "node 2 decision table key (1, (True,)) is not (input, history)"),
+        ({2: rows({(True, (1,)): 0})}, "node 2 decision table key (True, (1,)) is not (input, history)"),
+        ({2: rows({("1", (1,)): 0})}, "node 2 decision table key ('1', (1,)) is not (input, history)"),
+        # the first refused entry in row order is named, whichever check refuses it
+        ({2: rows({(1, (1,)): 0, (2, (1,)): 2, (1, (2.0,)): 0})}, "decision 2 for node 2 is not a bit"),
+        ({2: rows({(1, (1,)): 0, (1, (2.0,)): 2})}, "node 2 decision table key (1, (2.0,)) is not (input, history)"),
+    ],
+)
+def test_decision_keys_are_checked(decisions, message):
+    with pytest.raises(ValueError) as info:
+        GeneralProtocol(2, 2, (), decisions)
     assert str(info.value) == message

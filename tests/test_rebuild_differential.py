@@ -26,7 +26,7 @@ from meqlab import (
 )
 from meqlab.core import materialize, rules
 
-from conftest import materialize_oracle, random_correct_protocol, tighten
+from conftest import entries, materialize_oracle, random_correct_protocol, tighten
 from test_transforms import relay_protocol
 from test_verify_differential import table_protocols
 
@@ -57,17 +57,19 @@ def oracle_flip(p, step_index):
     expected = {x: expected_symbol(p, step_index, x) for x in range(1, p.M + 1)}
     schedule = [(st.sender, st.receiver) for st in p.steps]
     schedule[l0] = (r_node, t_node)
+    tables = [entries(st.table) for st in p.steps]
+    decision_tables = {node: entries(table) for node, table in p.decisions.items()}
 
     def semantics(values):
         flagged = False
         received = [[] for _ in range(p.n)]
         symbols = []
         for m, st in enumerate(p.steps):
-            sym = st.table.get((values[st.sender - 1], tuple(received[st.sender - 1])))
+            sym = tables[m].get((values[st.sender - 1], tuple(received[st.sender - 1])))
             if sym is None:
                 if not flagged:
                     raise MalformedProtocolError(f"step {m + 1}")
-                sym = min(st.table.values())
+                sym = min(tables[m].values())
             if m == l0:
                 flagged = sym != expected[values[r_node - 1]]
                 sym = expected[values[r_node - 1]]
@@ -75,7 +77,7 @@ def oracle_flip(p, step_index):
             received[st.receiver - 1].append(sym)
         decisions = []
         for node in range(1, p.n + 1):
-            table = p.decisions.get(node)
+            table = decision_tables.get(node)
             bit = 0
             if table is not None:
                 bit = table.get((values[node - 1], tuple(received[node - 1])))

@@ -29,7 +29,7 @@ from meqlab import core, transforms
 from meqlab.core import materialize
 from meqlab.serial import dumps
 
-from conftest import STAR_SIZES, random_correct_protocol, relabelled_star
+from conftest import STAR_SIZES, entries, random_correct_protocol, relabelled_star, rows
 
 
 def test_expected_symbol_third_link():
@@ -74,7 +74,7 @@ def test_step_index_must_be_an_integer(call, index):
 
 def test_flip_without_decision_table_decides_zero():
     g = table_to_general(table36())
-    assert set(g.decisions[1].values()) == {0}
+    assert set(entries(g.decisions[1]).values()) == {0}
     silent = GeneralProtocol(g.n, g.M, g.steps, {node: t for node, t in g.decisions.items() if node != 1})
     for index in (1, 2, 3):
         assert flip_step(silent, index) == flip_step(g, index)
@@ -305,7 +305,7 @@ def test_flip_of_relay_protocol_stays_correct(M):
 
 def without_entry(p, node, key):
     decisions = dict(p.decisions)
-    decisions[node] = {k: bit for k, bit in p.decisions[node].items() if k != key}
+    decisions[node] = rows({k: bit for k, bit in entries(p.decisions[node]).items() if k != key})
     return GeneralProtocol(p.n, p.M, p.steps, decisions)
 
 

@@ -24,13 +24,15 @@ from meqlab import (
     verify_ad,
 )
 
+from conftest import rows
+
 
 def step():
-    return Step(1, 2, {(1, ()): 1, (2, ()): 2}, 2)
+    return Step(1, 2, rows({(1, ()): 1, (2, ()): 2}), 2)
 
 
 def general():
-    return GeneralProtocol(2, 2, (step(),), {2: {(1, (1,)): 0, (2, (1,)): 1}})
+    return GeneralProtocol(2, 2, (step(),), {2: rows({(1, (1,)): 0, (2, (1,)): 1})})
 
 
 def graph():
@@ -41,15 +43,15 @@ def graph():
 VALUES = {
     "Step": (
         step,
-        lambda: Step(1, 2, {(1, ()): 1, (2, ()): 1}, 2),
-        "Step(sender=1, receiver=2, table={(1, ()): 1, (2, ()): 2}, range_size=2)",
+        lambda: Step(1, 2, rows({(1, ()): 1, (2, ()): 1}), 2),
+        "Step(sender=1, receiver=2, table={(): {1: 1, 2: 2}}, range_size=2)",
         False,
     ),
     "GeneralProtocol": (
         general,
         lambda: GeneralProtocol(2, 2, (step(),)),
-        "GeneralProtocol(n=2, M=2, steps=(Step(sender=1, receiver=2, table={(1, ()): 1, (2, ()): 2}, "
-        "range_size=2),), decisions={2: {(1, (1,)): 0, (2, (1,)): 1}})",
+        "GeneralProtocol(n=2, M=2, steps=(Step(sender=1, receiver=2, table={(): {1: 1, 2: 2}}, "
+        "range_size=2),), decisions={2: {(1,): {1: 0, 2: 1}}})",
         False,
     ),
     "LinkTable": (
@@ -162,23 +164,28 @@ def test_pickle_and_copies_come_back_equal(name):
 
 
 def test_tables_are_read_only_views_not_copies():
-    source = {(1, ()): 1, (2, ()): 2}
-    st = Step(1, 2, source, 2)
-    assert type(st.table) is MappingProxyType
+    row = {1: 1, 2: 2}
+    st = Step(1, 2, {(): row}, 2)
+    assert type(st.table) is MappingProxyType and type(st.table[()]) is MappingProxyType
     with pytest.raises(TypeError):
-        st.table[3, ()] = 1
-    source[3, ()] = 1  # the dict it was built from is wrapped, not copied
-    assert st.table[3, ()] == 1
+        st.table[1,] = {1: 1}
+    with pytest.raises(TypeError):
+        st.table[()][3] = 1
+    row[3] = 1  # the row it was built from is wrapped, not copied
+    assert st.table[()][3] == 1
     assert Step(1, 2, st.table, 2).table is st.table  # a view is not wrapped again
 
     p = general()
     assert type(p.decisions) is MappingProxyType and type(p.decisions[2]) is MappingProxyType
+    assert type(p.decisions[2][1,]) is MappingProxyType
     with pytest.raises(TypeError):
         p.decisions[1] = {}
     with pytest.raises(TypeError):
-        p.decisions[2][1, (1,)] = 1
+        p.decisions[2][2,] = {1: 1}
+    with pytest.raises(TypeError):
+        p.decisions[2][1,][1] = 1
     assert GeneralProtocol(2, 2, p.steps, p.decisions).decisions[2] is p.decisions[2]
-    assert type(pickle.loads(pickle.dumps(p)).decisions[2]) is MappingProxyType
+    assert type(pickle.loads(pickle.dumps(p)).decisions[2][1,]) is MappingProxyType
 
 
 def test_complexity_is_a_named_tuple():

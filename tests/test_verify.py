@@ -25,14 +25,14 @@ from meqlab import (
 )
 from meqlab.core import rectangles, rules
 
-from conftest import eq_oracle
+from conftest import entries, eq_oracle, link, rows
 
 
 def mutate_third_link(value_at_4: int) -> TableProtocol:
     t = table36()
-    bc = list(t.link(2, 3).symbols)
+    bc = list(link(t, 2, 3).symbols)
     bc[3] = value_at_4
-    return TableProtocol(3, 6, (t.link(1, 2), t.link(1, 3), LinkTable(2, 3, tuple(bc))))
+    return TableProtocol(3, 6, (link(t, 1, 2), link(t, 1, 3), LinkTable(2, 3, tuple(bc))))
 
 
 def test_table36_solves_anyone_detects():
@@ -169,13 +169,13 @@ def test_single_value_alphabet_verifies():
 def without_step_entry(p, index, key):
     steps = list(p.steps)
     st = steps[index - 1]
-    steps[index - 1] = Step(st.sender, st.receiver, {k: s for k, s in st.table.items() if k != key},
+    steps[index - 1] = Step(st.sender, st.receiver, rows({k: s for k, s in entries(st.table).items() if k != key}),
                             st.range_size)
     return GeneralProtocol(p.n, p.M, tuple(steps), p.decisions)
 
 
 def without_decision_entry(p, node, key):
-    table = {k: bit for k, bit in p.decisions[node].items() if k != key}
+    table = rows({k: bit for k, bit in entries(p.decisions[node]).items() if k != key})
     return GeneralProtocol(p.n, p.M, p.steps, {**p.decisions, node: table})
 
 

@@ -34,7 +34,16 @@ from meqlab import (
 
 from meqlab.verify import _smallest_join
 
-from conftest import STAR_SIZES, brute_force_verdicts, random_correct_protocol, relabelled_star, to_bipartite
+from conftest import (
+    STAR_SIZES,
+    brute_force_verdicts,
+    entries,
+    link,
+    random_correct_protocol,
+    relabelled_star,
+    rows,
+    to_bipartite,
+)
 
 
 def assert_matches_oracle(p):
@@ -130,11 +139,11 @@ def table36_conflict_merges():
     """table36 with the third link's symbol of y set to that of x, for each
     of its 12 conflict pairs (x, y): each breaks the strong colouring."""
     t = table36()
-    bc = t.link(2, 3).symbols
+    bc = link(t, 2, 3).symbols
     for x, y in sorted(conflict_pairs(to_bipartite(t))):
         merged = list(bc)
         merged[y - 1] = bc[x - 1]
-        yield TableProtocol(3, 6, (t.link(1, 2), t.link(1, 3), LinkTable(2, 3, tuple(merged))))
+        yield TableProtocol(3, 6, (link(t, 1, 2), link(t, 1, 3), LinkTable(2, 3, tuple(merged))))
 
 
 STOCK = {
@@ -207,7 +216,7 @@ def test_correct_iff_distinct_edges_strongly_coloured(t):
     except EdgeCollisionError:
         reduced = False
     else:
-        bc = t.link(2, 3).symbols
+        bc = link(t, 2, 3).symbols
         reduced = all(bc[x - 1] != bc[y - 1] for x, y in pairs)
     assert verify_ad(t).ok is reduced
 
@@ -224,7 +233,7 @@ def test_single_value_alphabet():
     p = TableProtocol(3, 1, (LinkTable(1, 2, (1,)), LinkTable(2, 3, (1,))))
     assert verify_ad(p) == Verdict(True, None, 1)
     assert verify_cd(p, 2) == Verdict(True, None, 1)
-    general = GeneralProtocol(2, 1, (Step(1, 2, {(1, ()): 1}, 1),), {2: {(1, (1,)): 0}})
+    general = GeneralProtocol(2, 1, (Step(1, 2, rows({(1, ()): 1}), 1),), {2: rows({(1, (1,)): 0})})
     assert verify_ad(general) == Verdict(True, None, 1)
 
 
@@ -238,10 +247,10 @@ def test_detector_without_incoming_link():
 def with_decision_flipped(p, node, index):
     """Copy of p whose node decides the other bit on one entry, the index-th
     in sorted order."""
-    table = dict(p.decisions[node])
+    table = entries(p.decisions[node])
     key = sorted(table)[index % len(table)]
     table[key] = 1 - table[key]
-    return GeneralProtocol(p.n, p.M, p.steps, {**p.decisions, node: table})
+    return GeneralProtocol(p.n, p.M, p.steps, {**p.decisions, node: rows(table)})
 
 
 @st.composite
