@@ -65,12 +65,15 @@ def _rows(table, what: str, allowed: range, bad_value) -> MappingProxyType:
     """`table`, ``{history: {input: value}}``, as a read-only view of
     read-only rows; one already so wrapped is returned as it is.
 
-    Every history must be a tuple of ints, every row a non-empty dict, every
-    input an int and every value an int in `allowed`. The checks run a
-    column at a time at C speed, each distinct history once. Only a refused
-    table is walked, in row order, to raise the ValueError of its first bad
-    entry; `bad_value(value)` words the one of a bad value.
+    `table` must be a dict or such a view. Every history must be a tuple of
+    ints, every row a non-empty dict, every input an int and every value an
+    int in `allowed`. The checks run a column at a time at C speed, each
+    distinct history once. Only a refused table is walked, in row order, to
+    raise the ValueError of its first bad entry; `bad_value(value)` words
+    the one of a bad value.
     """
+    if not isinstance(table, (dict, MappingProxyType)):
+        raise ValueError(f"{what} must be a dict, got {type(table).__name__}")
     histories, rows = table.keys(), table.values()
     row_types = set(map(type, rows))
     values = list(chain.from_iterable(map(_values, rows))) if row_types <= {dict, MappingProxyType} else None
@@ -180,6 +183,8 @@ class GeneralProtocol(Frozen):
             for node in (st.sender, st.receiver):
                 if not 1 <= node <= n:
                     raise ValueError(f"step {index}: node {node} outside 1..{n}")
+        if not isinstance(decisions, (dict, MappingProxyType)):
+            raise ValueError(f"decisions must be a dict, got {type(decisions).__name__}")
         views = {}
         for node, table in decisions.items():
             if not 1 <= check_int(node, "decision node") <= n:

@@ -2,16 +2,19 @@
 sort_keys=True) lays out the document `protocol_from_doc` reads, plus a
 newline.
 
-`dumps` writes that text straight from the protocol, one format string per
-level of the fixed schema, without building the document. Reading back what
-was written reproduces the original object exactly, so files are a faithful
-interchange format between the CLI subcommands.
+One renderer, `_render`, writes that text straight from the protocol, one
+format string per level of the fixed schema, without building the document.
+It hands the text over in pieces of at most one input's table entries or
+CHUNK link symbols: `save_protocol` streams them to the file, and `dumps`
+joins them. Reading back what was written reproduces the original object
+exactly, so files are a faithful interchange format between the CLI
+subcommands.
 
 A general file lists each table as entries sorted by (input, history); in
 memory a table is history-major, one row {input: output} per history (see
 `core`). The reader groups the entries into rows in one pass, whatever
 their order; the writer reads the rows in history order and files each
-entry under its input, so no entry is sorted on its own.
+history under the inputs of its row, so no entry is sorted on its own.
 
 `load_protocol` pauses the process-wide cyclic garbage collector while it
 decodes and builds, then restores the caller's setting; nothing it builds
@@ -138,68 +141,109 @@ def protocol_from_doc(doc: dict) -> Protocol:
     return placed("general document", GeneralProtocol, doc["n"], doc["M"], tuple(steps), decisions)
 
 
-def _array(texts: list, indent: int) -> str:
-    """A JSON list of rendered items, laid out as json.dumps(indent=2) lays
-    out a list whose closing bracket sits `indent` spaces in."""
-    if not texts:
-        return "[]"
+CHUNK = 1 << 14  # symbols of a link rendered and written at a time
+_SEP = ",\n        "  # between the elements of a list whose bracket sits 6 spaces in
+
+
+def _write_list(write, items, indent: int, put) -> None:
+    """Writes a JSON list laid out as json.dumps(indent=2) lays out a list
+    whose closing bracket sits `indent` spaces in. `put(item)` writes each
+    of `items`: one element, or a run of elements joined by the separator."""
     pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(texts) + "\n" + " " * indent + "]"
+    lead = "[" + pad
+    for item in items:
+        write(lead)
+        put(item)
+        lead = "," + pad
+    write("[]" if lead[0] == "[" else "\n" + " " * indent + "]")
 
 
-def _link_text(lk: LinkTable) -> str:
-    """One link of a table document, with "range" only when it exceeds the
-    largest symbol."""
+def _link(write, lk: LinkTable) -> None:
+    """Writes one link of a table document, with "range" only when it
+    exceeds the largest symbol, and its symbols CHUNK at a time."""
     declared = f'\n      "range": {lk.range_size},' if lk.range_size > max(lk.symbols) else ""
-    return (
-        f'{{\n      "from": {lk.sender},{declared}\n      "symbols": {_array(list(map(str, lk.symbols)), 6)},\n'
-        f'      "to": {lk.receiver}\n    }}'
-    )
+    write(f'{{\n      "from": {lk.sender},{declared}\n      "symbols": ')
+    symbols = lk.symbols
+    # "%d" renders an int as str does, without a string object per symbol
+    _write_list(write, (symbols[i:i + CHUNK] for i in range(0, len(symbols), CHUNK)), 6,
+                lambda run: write((("%d" + _SEP) * (len(run) - 1) + "%d") % run))
+    write(f',\n      "to": {lk.receiver}\n    }}')
 
 
-def _table_text(table, histories: dict) -> str:
-    """A step's or decision's "table" field: its entries as a list sorted by
-    (input, history). The rows are read in history order and each entry is
-    filed under its input, so nothing is sorted per entry. `histories`
-    caches the rendered text of each history, which many tables share."""
+def _table(write, table, histories: dict) -> None:
+    """Writes a step's or decision's "table" field: its entries as a list
+    sorted by (input, history), one input's entries at a time. The rows are
+    read in history order and each history is filed under the inputs of its
+    row, so nothing is sorted per entry. `histories` caches the rendered
+    text of each history, which many tables share."""
     for h in table.keys() - histories.keys():
-        histories[h] = _array(list(map(str, h)), 10)
+        parts = []
+        _write_list(parts.append, map(str, h), 10, parts.append)
+        histories[h] = "".join(parts)
     by_input = defaultdict(list)
     for h in sorted(table):
-        history = histories[h]
-        for x, out in table[h].items():
-            by_input[x].append(
-                f'{{\n          "history": {history},\n          "input": {x},\n          "out": {out}\n        }}'
-            )
-    return _array(list(chain.from_iterable(map(by_input.get, sorted(by_input)))), 6)
+        row = table[h]
+        text_and_row = (histories[h], row)
+        for x in row:
+            by_input[x].append(text_and_row)
+
+    def put(x):
+        write(_SEP.join([
+            f'{{\n          "history": {text},\n          "input": {x},\n          "out": {row[x]}\n        }}'
+            for text, row in by_input[x]
+        ]))
+
+    _write_list(write, sorted(by_input), 6, put)
+
+
+def _render(p: Protocol, write) -> None:
+    """Writes the text of p's file, json.dumps(doc, indent=2, sort_keys=True)
+    plus a newline for p's document, in pieces of at most one input's table
+    entries or CHUNK symbols, without building the document. Each format
+    string is one level of the schema, its keys in sorted order and its
+    indent spelled out."""
+    if isinstance(p, TableProtocol):
+        write(f'{{\n  "M": {p.M},\n  "kind": "table",\n  "links": ')
+        _write_list(write, p.links, 2, lambda lk: _link(write, lk))
+        write(f',\n  "n": {p.n}\n}}\n')
+        return
+    histories = {}
+
+    def decision(node):
+        write(f'{{\n      "node": {node},\n      "table": ')
+        _table(write, p.decisions[node], histories)
+        write("\n    }")
+
+    def step(st):
+        write(f'{{\n      "from": {st.sender},\n      "range": {st.range_size},\n      "table": ')
+        _table(write, st.table, histories)
+        write(f',\n      "to": {st.receiver}\n    }}')
+
+    write(f'{{\n  "M": {p.M},\n  "decisions": ')
+    _write_list(write, sorted(p.decisions), 2, decision)
+    write(f',\n  "kind": "general",\n  "n": {p.n},\n  "steps": ')
+    _write_list(write, p.steps, 2, step)
+    write("\n}\n")
 
 
 def dumps(p: Protocol) -> str:
-    """The text of p's file: json.dumps(doc, indent=2, sort_keys=True) plus
-    a newline for p's document, rendered from p without building the
-    document. Each format string below is one level of the schema, its keys
-    in sorted order and its indent spelled out."""
-    if isinstance(p, TableProtocol):
-        links = _array(list(map(_link_text, p.links)), 2)
-        return f'{{\n  "M": {p.M},\n  "kind": "table",\n  "links": {links},\n  "n": {p.n}\n}}\n'
-    histories = {}
-    steps = [
-        f'{{\n      "from": {st.sender},\n      "range": {st.range_size},\n'
-        f'      "table": {_table_text(st.table, histories)},\n      "to": {st.receiver}\n    }}'
-        for st in p.steps
-    ]
-    decisions = [
-        f'{{\n      "node": {node},\n      "table": {_table_text(p.decisions[node], histories)}\n    }}'
-        for node in sorted(p.decisions)
-    ]
-    return (
-        f'{{\n  "M": {p.M},\n  "decisions": {_array(decisions, 2)},\n  "kind": "general",\n'
-        f'  "n": {p.n},\n  "steps": {_array(steps, 2)}\n}}\n'
-    )
+    """The text of p's file, as `save_protocol` writes it."""
+    parts = []
+    _render(p, parts.append)
+    return "".join(parts)
 
 
 def save_protocol(p: Protocol, path) -> None:
-    Path(path).write_text(dumps(p), encoding="utf-8")
+    """Writes p's file at `path` as it is rendered, a piece at a time. If
+    rendering or writing fails, KeyboardInterrupt included, the partial
+    file is removed and the error raised again."""
+    f = open(path, "w", encoding="utf-8")
+    try:
+        with f:
+            _render(p, f.write)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def load_protocol(path) -> Protocol:

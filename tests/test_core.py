@@ -273,6 +273,11 @@ def test_materialize_takes_one_range_per_step(ranges):
         (lambda: GeneralProtocol(2, 2, (), {2: rows({(1, ()): 0.0})}), "decision 0.0 for node 2 is not a bit"),
         (lambda: GeneralProtocol(2, 2, (), {True: {}}), "decision node must be an integer, got True"),
         (lambda: GeneralProtocol(2, True, ()), "M must be an integer, got True"),
+        # a table or decisions argument that is no dict is named, not an AttributeError
+        (lambda: Step(1, 2, [], 1), "table must be a dict, got list"),
+        (lambda: Step(1, 2, ((), {1: 1}), 1), "table must be a dict, got tuple"),
+        (lambda: GeneralProtocol(2, 2, (), []), "decisions must be a dict, got list"),
+        (lambda: GeneralProtocol(2, 2, (), {2: [((), {1: 0})]}), "node 2 decision table must be a dict, got list"),
     ],
 )
 def test_constructor_rejects(build, message):

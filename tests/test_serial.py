@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -156,13 +157,16 @@ def some_deciders(p, *nodes):
         GeneralProtocol(3, 2, ()),
         GeneralProtocol(3, 2, (), {2: rows({(1, ()): 0, (2, ()): 1})}),
         GeneralProtocol(2, 1, (Step(1, 2, rows({(1, ()): 1}), 1),), {2: {}}),
+        GeneralProtocol(2, 2, (Step(1, 2, rows({(1, ()): 1, (2, ()): 2}), 2),)),
         some_deciders(table_to_general(table36()), 3, 2),
         TableProtocol(3, 2, ()),
     ],
-    ids=["no-steps", "no-steps-one-decider", "empty-decision-table", "some-deciders", "no-links"],
+    ids=["no-steps", "no-steps-one-decider", "empty-decision-table", "no-decisions", "some-deciders", "no-links"],
 )
-def test_dumps_matches_json_on_empty_parts(p):
-    assert dumps(p) == dumps_oracle(p)
+def test_dumps_matches_json_on_empty_parts(tmp_path, p):
+    path = tmp_path / "p.json"
+    save_protocol(p, path)
+    assert path.read_text(encoding="utf-8") == dumps(p) == dumps_oracle(p)
 
 
 def test_declared_range_survives():
@@ -184,6 +188,122 @@ def test_file_round_trip(tmp_path):
     assert load_protocol(path) == table36()
     text = path.read_text(encoding="utf-8")
     assert json.loads(text)["kind"] == "table"
+
+
+def chunked_table(M: int) -> TableProtocol:
+    """Three links of M symbols: one cycling through 1..7 under a declared
+    range of 9, one injective, one constant."""
+    return TableProtocol(3, M, (
+        LinkTable(1, 2, tuple(x % 7 + 1 for x in range(M)), 9),
+        LinkTable(1, 3, tuple(range(1, M + 1))),
+        LinkTable(2, 3, (1,) * M),
+    ))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        *(chunked_table(M) for M in (serial.CHUNK - 1, serial.CHUNK, serial.CHUNK + 1, 2 * serial.CHUNK + 1)),
+        meq3_2k(3),
+        cd_wrapper(star_protocol(4, 5)),
+    ],
+    ids=["chunk-minus-1", "chunk", "chunk-plus-1", "two-chunks-plus-1", "declared-ranges", "cd-star-4-5"],
+)
+def test_saved_file_equals_dumps_and_json(tmp_path, p):
+    # the file is written a piece at a time, one input's entries or CHUNK
+    # symbols, and dumps joins the same pieces
+    path = tmp_path / "p.json"
+    save_protocol(p, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == dumps(p)
+    assert text == json.dumps(protocol_to_doc(p), indent=2, sort_keys=True) + "\n"
+
+
+def failing_piece(monkeypatch, path, name, error):
+    """Makes the second call of the serial writer `name` raise `error` once
+    it has written its piece, with the file open at `path`."""
+    real = getattr(serial, name)
+    calls = []
+
+    def piece(write, *args):
+        real(write, *args)
+        calls.append(name)
+        if len(calls) == 2:
+            assert path.exists()
+            raise error
+
+    monkeypatch.setattr(serial, name, piece)
+    return calls
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["oserror", "interrupt"])
+@pytest.mark.parametrize(
+    "p, name",
+    [(table36(), "_link"), (cd_wrapper(table36()), "_table")],
+    ids=["table", "general"],
+)
+def test_failed_save_leaves_no_file(tmp_path, monkeypatch, p, name, error):
+    path = tmp_path / "p.json"
+    path.write_text("an older file", encoding="utf-8")
+    calls = failing_piece(monkeypatch, path, name, error)
+    with pytest.raises(type(error)) as info:
+        save_protocol(p, path)
+    assert info.value is error
+    assert calls == [name, name]
+    assert not path.exists()
+
+
+def test_failed_save_keeps_the_cli_exit_code(tmp_path, monkeypatch, capsys):
+    # an OSError while writing exits 1 with one error line, as any other
+    # OSError does; an interrupt still reaches the caller
+    path = tmp_path / "t36.json"
+    failing_piece(monkeypatch, path, "_link", OSError(28, "No space left on device"))
+    assert run(["build", "table36", "--out", str(path)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not path.exists()
+    monkeypatch.undo()
+    failing_piece(monkeypatch, path, "_link", KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        run(["build", "table36", "--out", str(path)])
+    assert not path.exists()
+
+
+def traced_save(p, path) -> int:
+    """The peak traced allocation of `save_protocol(p, path)`, in bytes."""
+    tracemalloc.start()
+    try:
+        save_protocol(p, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: cd_wrapper(star_protocol(4, 12)), lambda: flip_step(table_to_general(extended_table(2)), 3)],
+    ids=["cd-star-4-12", "flipped-ext6h-2"],
+)
+def test_general_save_holds_one_input_of_entries(tmp_path, build):
+    # rows of at least 8 inputs: one input's entries are a small part of the file
+    p = build()
+    assert min(len(row) for t in [st.table for st in p.steps] + list(p.decisions.values()) for row in t.values()) >= 8
+    path = tmp_path / "p.json"
+    peak = traced_save(p, path)
+    assert peak < path.stat().st_size / 2
+
+
+def test_table_save_is_bounded_by_the_chunk(tmp_path):
+    # a chunk of a two-symbol link costs the same at M = 2 CHUNK + 1 and
+    # 16 CHUNK + 1, a small part of the larger file
+    peaks = {}
+    for M in (2 * serial.CHUNK + 1, 16 * serial.CHUNK + 1):
+        p = TableProtocol(3, M, (LinkTable(1, 2, (1, 2) * (M // 2) + (1,)), LinkTable(1, 3, (1,) * M)))
+        path = tmp_path / f"{M}.json"
+        peaks[M] = traced_save(p, path)
+        assert peaks[M] < 64 * serial.CHUNK
+    small, large = peaks.values()
+    assert large < small + serial.CHUNK
+    assert large < path.stat().st_size / 8
 
 
 @pytest.mark.parametrize(
