@@ -15,6 +15,7 @@ from .core import (
     LinkTable,
     TableProtocol,
     check_int,
+    check_size,
     dense_link,
     materialize,
     rules,
@@ -38,7 +39,8 @@ def check_table_size(links: int, base: int, exponent: int = 1) -> None:
 
 def star_protocol(n: int, M: int) -> TableProtocol:
     """Everyone sends their raw value to the last node, which compares."""
-    check_table_size(check_int(n, "n") - 1, check_int(M, "M"))
+    check_size(n, M)
+    check_table_size(n - 1, M)
     identity = tuple(range(1, M + 1))
     links = tuple(LinkTable(i, n, identity) for i in range(1, n))
     return TableProtocol(n, M, links)

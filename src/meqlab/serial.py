@@ -16,6 +16,14 @@ memory a table is history-major, one row {input: output} per history (see
 their order; the writer reads the rows in history order and files each
 history under the inputs of its row, so no entry is sorted on its own.
 
+`load_protocol` files each entry of a general file into its table's rows
+as the JSON decoder parses it, and never builds the list of entries, so
+reading peaks at about twice the file size (the file's bytes and its text).
+A file whose rows that parse cannot vouch for (see `_grouped`), or that
+breaks the schema, is read again by the reference path,
+`protocol_from_doc(json.loads(text))`, the one that words every error; so
+what is read and what is refused do not change.
+
 `load_protocol` pauses the process-wide cyclic garbage collector while it
 decodes and builds, then restores the caller's setting; nothing it builds
 can form a reference cycle. A file nested deeper than the JSON decoder
@@ -82,9 +90,18 @@ def _columns(entries: list, what: str):
             raise ValueError(f"{what} entry lacks field {err.args[0]!r}") from None
 
 
+class _Rows(defaultdict):
+    """The rows of a table grouped while its file was parsed; a JSON
+    document holds none."""
+
+    __slots__ = ()
+
+
 def _lookup(raw, what: str) -> dict:
     """A ``{history: {input: output}}`` table from its list of entries,
-    grouped into rows in one pass."""
+    grouped into rows in one pass; rows grouped while parsing, as they are."""
+    if type(raw) is _Rows:
+        return raw
     entries = _list(raw, what)
     inputs, histories, outs = _columns(entries, what)
     rows = defaultdict(dict)
@@ -246,17 +263,82 @@ def save_protocol(p: Protocol, path) -> None:
         raise
 
 
+_ENTRY = object()  # stands in the parsed document for an entry filed into rows
+
+
+def _refuse(literal):
+    raise ValueError(f"{literal} is not an int")
+
+
+def _holds_bool(text: str) -> bool:
+    """Whether `text` holds `true` or `false`. A general file has a few e's
+    per table and none per entry, so they are found at memchr speed and the
+    letters before each compared, faster than searching for the words."""
+    # no "true" ends before 3; a "false" ending at 3 would start at -1,
+    # which startswith reads as the last letter alone, so it never matches
+    at = text.find("e", 3)
+    while at >= 0:
+        if text.startswith("tru", at - 3) or text.startswith("fals", at - 4):
+            return True
+        at = text.find("e", at + 1)
+    return False
+
+
+def _grouped(text: str):
+    """The document of `text`, with each table of entries replaced by the
+    `_Rows` it groups into, filed one entry at a time as the decoder closes
+    it. Only for a text that does not `_holds_bool`.
+
+    The rows equal the ones `_lookup` groups from the parsed list only if
+    equal history tuples come from equal lists; but true == 1 == 1.0. So
+    the text holds no true or false, and a float or a NaN raises ValueError
+    here; `core._rows` then refuses any history element that is no int,
+    once per row. An entry whose input or output is no int, or whose
+    history is no list, raises ValueError, and so does a table whose list
+    is not exactly the entries filed since the last table, or repeats one
+    (input, history). An unhashable history raises TypeError.
+    """
+    rows, filed = _Rows(dict), 0
+
+    def hook(obj):
+        nonlocal rows, filed
+        if len(obj) == 3 and "history" in obj and "input" in obj and "out" in obj:
+            x, h, out = obj["input"], obj["history"], obj["out"]
+            if not (type(x) is int is type(out) and type(h) is list):
+                raise ValueError("entry is not integer input and output and a list history")
+            rows[tuple(h)][x] = out
+            filed += 1
+            return _ENTRY
+        table = obj.get("table")
+        if filed and type(table) is list:
+            # the row sizes add up to the count only without repeats
+            if not len(table) == table.count(_ENTRY) == filed == sum(map(len, rows.values())):
+                raise ValueError("entries outside their table, or repeated")
+            obj["table"] = rows
+            rows, filed = _Rows(dict), 0
+        return obj
+
+    return json.loads(text, object_hook=hook, parse_float=_refuse, parse_constant=_refuse)
+
+
 def load_protocol(path) -> Protocol:
-    """The protocol in the file at `path`, with the cyclic collector paused
-    while it decodes and builds. Raises OSError when the file cannot be
-    read and ValueError when it is not a valid protocol file."""
+    """The protocol in the file at `path`, its general tables grouped into
+    rows as the file is parsed, with the cyclic collector paused while it
+    decodes and builds. Raises OSError when the file cannot be read and
+    ValueError when it is not a valid protocol file."""
     # a parse tree and tables of int tuples hold no cycles, so collector
     # passes over the growing document would find nothing (the tests check)
     enabled = gc.isenabled()
     gc.disable()
     try:
+        text = Path(path).read_text(encoding="utf-8")
+        if not _holds_bool(text):
+            try:
+                return protocol_from_doc(_grouped(text))
+            except (ValueError, TypeError, RecursionError):
+                pass
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(text)
         except RecursionError:
             raise ValueError("protocol file nests deeper than the JSON decoder allows") from None
         return protocol_from_doc(doc)

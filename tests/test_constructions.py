@@ -111,6 +111,7 @@ def test_binary_construction_rejects_k_below_one(build):
         (lambda: extended_table(1.5), "h must be an integer, got 1.5"),
         (lambda: parallel_compose(table36(), 2.5), "M must be an integer, got 2.5"),
         (lambda: star_protocol(3, 2.5), "M must be an integer, got 2.5"),
+        (lambda: star_protocol(3, 0), "alphabet size must be positive"),
     ],
 )
 def test_family_sizes_must_be_integers(build, message):

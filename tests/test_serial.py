@@ -1,10 +1,11 @@
+import copy
 import gc
 import json
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meqlab import (
@@ -144,6 +145,147 @@ def test_shuffled_entries_load_to_the_same_protocol(p, flips, rng):
     back = protocol_from_doc(doc)
     assert back == p
     assert dumps(back) == dumps_oracle(back) == dumps(p)
+
+
+ODD_VALUES = [True, False, 1.0, float("nan"), "1", None, [1]]
+ODDITIES = ["note", "field", "repeat", "extra-key", "ignored-entry", "table", "missing-key"]
+
+
+def add_oddity(doc, kind, value, rng):
+    """Puts one oddity of `kind` in doc, where rng picks: `value` as a
+    top-level "note", in a history, input or out, or as a table; a repeated
+    entry; an entry with an extra key; a copy of an entry under a key the
+    reader ignores; or a step or decision that lacks a key."""
+    if kind == "note":
+        doc["note"] = value
+        return
+    parts = [part for part in doc.get("steps", []) + doc.get("decisions", []) if part["table"]]
+    if not parts:
+        return
+    part = rng.choice(parts)
+    table = part["table"]
+    entry = rng.choice(table)
+    if kind == "field":
+        name = rng.choice(["history", "input", "out"])
+        if name == "history" and entry["history"]:
+            entry["history"][rng.randrange(len(entry["history"]))] = value
+        else:
+            entry[name] = [value] if name == "history" else value
+    elif kind == "repeat":
+        table.insert(rng.randrange(len(table) + 1), copy.deepcopy(entry))
+    elif kind == "extra-key":
+        entry["extra"] = value
+    elif kind == "ignored-entry":
+        ignored = copy.deepcopy(entry)
+        rng.choice([doc, part, entry])["note"] = rng.choice([ignored, [ignored]])
+    elif kind == "table":
+        part["table"] = rng.choice([value, copy.deepcopy(entry)])
+    else:
+        del part[rng.choice(sorted(part))]
+
+
+def outcome(read):
+    """The repr of the protocol read(), which shows the order of every
+    table, or the type and message of the ValueError it raises."""
+    try:
+        return repr(read())
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(general_protocols(), framed_tables()),
+    st.lists(st.integers(1, 8), max_size=2),
+    st.booleans(),
+    st.one_of(st.none(), st.sampled_from(ODDITIES)),
+    st.sampled_from(ODD_VALUES),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_load_reads_as_the_reference_path(tmp_path, p, flips, shuffle, oddity, value, sort_keys, rng):
+    # load_protocol groups entries while it parses; what it reads, and the
+    # message of what it refuses, are those of protocol_from_doc(json.loads)
+    for index in flips if isinstance(p, GeneralProtocol) and p.steps else ():
+        p = flip_step(p, (index - 1) % len(p.steps) + 1)
+    doc = json.loads(dumps(p))
+    for part in doc.get("steps", []) + doc.get("decisions", []) if shuffle else ():
+        rng.shuffle(part["table"])
+    if oddity is not None:
+        add_oddity(doc, oddity, value, rng)
+    text = json.dumps(doc, indent=2, sort_keys=sort_keys)
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    expected = outcome(lambda: protocol_from_doc(json.loads(text)))
+    assert outcome(lambda: load_protocol(path)) == expected
+    if oddity is None:
+        assert load_protocol(path) == p
+
+
+def entry(x, h, out) -> dict:
+    return {"input": x, "history": h, "out": out}
+
+
+def sparse_doc() -> dict:
+    """A two-node general document whose node-2 decision rows, (0,), (1,)
+    and (2,), hold one input each: a history equal to another row's that
+    is not the same list would join that row without a repeated entry."""
+    return {
+        "kind": "general", "n": 2, "M": 3,
+        "steps": [{"from": 1, "to": 2, "range": 3, "table": [entry(x, [], x) for x in (1, 2, 3)]}],
+        "decisions": [{"node": 2, "table": [entry(x, [x - 1], 0) for x in (1, 2, 3)]}],
+    }
+
+
+def set_history(index, history):
+    def edit(decision):
+        decision["table"][index]["history"] = history
+    return edit
+
+
+def note_after_table(decision):
+    # a key the reader ignores, after the table: its entry is none of the table's
+    decision["note"] = entry(1, [0], 1)
+
+
+def note_and_non_entry(decision):
+    # one entry under an ignored key, and one table element no entry: as many
+    # entries are filed as the table has elements
+    decision["note"] = decision["table"][2]
+    decision["table"][2] = 5
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        None,
+        set_history(2, [True]),
+        set_history(1, [False]),
+        set_history(2, [1.0]),
+        set_history(2, [[1]]),
+        set_history(2, ""),
+        note_after_table,
+        note_and_non_entry,
+    ],
+    ids=["valid", "true-history", "false-history", "float-history", "unhashable-history",
+         "string-history", "note-after-table", "note-and-non-entry"],
+)
+def test_load_declines_what_would_group_other_rows(tmp_path, edit):
+    doc = sparse_doc()
+    if edit is not None:
+        edit(doc["decisions"][0])
+    text = json.dumps(doc)
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    expected = outcome(lambda: protocol_from_doc(json.loads(text)))
+    assert outcome(lambda: load_protocol(path)) == expected
+    assert isinstance(expected, str) == (edit in (None, note_after_table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="truefals\" e", max_size=12))
+def test_bool_scan_finds_the_words(text):
+    assert serial._holds_bool(text) == ("true" in text or "false" in text)
 
 
 def some_deciders(p, *nodes):
@@ -341,6 +483,20 @@ def test_load_leaves_few_tracked_objects(tmp_path):
         (gc.enable if was else gc.disable)()
     assert len(loaded.decisions[4]) == 16**3
     assert added < 10_000
+
+
+def test_general_load_peaks_near_twice_the_file(tmp_path):
+    # entries are grouped into rows as they are parsed, so what the load
+    # holds at its peak is the file's bytes and text, not the parsed list
+    path = tmp_path / "p.json"
+    save_protocol(cd_wrapper(star_protocol(4, 12)), path)
+    tracemalloc.start()
+    try:
+        load_protocol(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * path.stat().st_size
 
 
 def test_load_pauses_the_collector(tmp_path, monkeypatch):
