@@ -4,9 +4,11 @@ Subcommands are thin adapters onto the library: build writes the stock
 constructions, simulate replays one input, verify/search decide exhaustively,
 transform rewrites a protocol file, figure dumps the crossover CSV. Output is
 deterministic; exit codes: 0 ok, 1 usage error or malformed protocol file
-(an `error:` line on stderr, never a traceback), 2 counterexample, 3 budget.
+(an `error:` line on stderr, never a traceback), 2 counterexample, 3 budget,
+141 (128 + SIGPIPE, and nothing on stderr) when stdout's reader closes early.
 """
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 # Each subcommand's help, its mutually exclusive options (whether one is
 # required, and which) and its arguments with their argparse keywords, in
@@ -125,9 +128,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(only: str | None = None):
-    """The argparse parser for what `_parse` declines, with every subcommand
-    or only the one named `only`."""
+def _build_parser():
+    """The argparse parser for what `_parse` declines."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -137,8 +139,6 @@ def _build_parser(only: str | None = None):
     parser = Parser(prog="meqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help, group, arguments) in _SUBCOMMANDS.items():
-        if only not in (None, name):
-            continue
         command = sub.add_parser(name, help=help)
         exclusive = group and command.add_mutually_exclusive_group(required=group[0])
         for argument, keywords in arguments:
@@ -255,7 +255,7 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     try:
-        args = _parse(argv) or _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _parse(argv) or _build_parser().parse_args(argv)
         budget = getattr(args, "budget", None)  # only build and verify take a budget
         if budget is not None and budget < 1:
             raise _UsageError("--budget must be at least 1")
@@ -266,13 +266,22 @@ def run(argv: list[str]) -> int:
     except BudgetError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:  # an OSError, but the reader's doing, not the input's
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError, OSError, MalformedProtocolError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:  # else stdout's unsent rest fails again at exit, with a warning
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,18 +24,12 @@ breaks the schema, is read again by the reference path,
 `protocol_from_doc(json.loads(text))`, the one that words every error; so
 what is read and what is refused do not change.
 
-`load_protocol` pauses the process-wide cyclic garbage collector while it
-decodes and builds, then restores the caller's setting; nothing it builds
-can form a reference cycle. A file nested deeper than the JSON decoder
-allows is malformed, like any other file that breaks the schema
-(ValueError).
+A file nested deeper than the JSON decoder allows is malformed, like any
+other file that breaks the schema (ValueError).
 """
 
-import gc
 import json
 from collections import Counter, defaultdict
-from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 
 from .core import GeneralProtocol, LinkTable, Protocol, Step, TableProtocol, check_int, placed
@@ -56,26 +50,23 @@ def _object(value, what: str, *required: str) -> dict:
     return value
 
 
-def _columns(entries: list, what: str):
-    """The input, history and out columns of a table's entries. Raises
-    ValueError, naming the first entry that is not an object with an integer
-    input and output and a list of integers as history."""
-    # general files hold up to hundreds of thousands of entries, so they are
-    # checked a column at a time at C speed; only a refused table is walked
-    if all(map(isinstance, entries, repeat(dict))):
-        try:
-            inputs, histories, outs = (
-                list(map(itemgetter(name), entries)) for name in ("input", "history", "out")
-            )
-        except KeyError:
-            pass
-        else:
-            if (
-                set(map(type, chain(inputs, outs))) <= {int}
-                and set(map(type, histories)) <= {list}
-                and set(map(type, chain.from_iterable(histories))) <= {int}
-            ):
-                return inputs, histories, outs
+class _Rows(defaultdict):
+    """The rows of a table grouped while its file was parsed; a JSON
+    document holds none."""
+
+    __slots__ = ()
+
+
+def _lookup(raw, what: str) -> dict:
+    """A ``{history: {input: output}}`` table from its list of entries,
+    checked and grouped into rows in one walk; rows grouped while parsing,
+    as they are. Raises ValueError, naming the first entry that is not an
+    object with an integer input and output and a list of integers as
+    history, else the first listed (input, history) given more than once."""
+    if type(raw) is _Rows:
+        return raw
+    entries = _list(raw, what)
+    rows = defaultdict(dict)
     for e in entries:
         try:
             if not (
@@ -88,25 +79,7 @@ def _columns(entries: list, what: str):
                 raise ValueError(f"{what} entry {e!r} is not integer input, history and output")
         except KeyError as err:
             raise ValueError(f"{what} entry lacks field {err.args[0]!r}") from None
-
-
-class _Rows(defaultdict):
-    """The rows of a table grouped while its file was parsed; a JSON
-    document holds none."""
-
-    __slots__ = ()
-
-
-def _lookup(raw, what: str) -> dict:
-    """A ``{history: {input: output}}`` table from its list of entries,
-    grouped into rows in one pass; rows grouped while parsing, as they are."""
-    if type(raw) is _Rows:
-        return raw
-    entries = _list(raw, what)
-    inputs, histories, outs = _columns(entries, what)
-    rows = defaultdict(dict)
-    for h, x, out in zip(map(tuple, histories), inputs, outs):
-        rows[h][x] = out
+        rows[tuple(e["history"])][e["input"]] = e["out"]
     # a repeated key would silently keep its last copy; the count shows one
     if sum(map(len, rows.values())) < len(entries):
         keys = Counter((e["input"], tuple(e["history"])) for e in entries)
@@ -323,25 +296,16 @@ def _grouped(text: str):
 
 def load_protocol(path) -> Protocol:
     """The protocol in the file at `path`, its general tables grouped into
-    rows as the file is parsed, with the cyclic collector paused while it
-    decodes and builds. Raises OSError when the file cannot be read and
-    ValueError when it is not a valid protocol file."""
-    # a parse tree and tables of int tuples hold no cycles, so collector
-    # passes over the growing document would find nothing (the tests check)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        if not _holds_bool(text):
-            try:
-                return protocol_from_doc(_grouped(text))
-            except (ValueError, TypeError, RecursionError):
-                pass
+    rows as the file is parsed. Raises OSError when the file cannot be read
+    and ValueError when it is not a valid protocol file."""
+    text = Path(path).read_text(encoding="utf-8")
+    if not _holds_bool(text):
         try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise ValueError("protocol file nests deeper than the JSON decoder allows") from None
-        return protocol_from_doc(doc)
-    finally:
-        if enabled:
-            gc.enable()
+            return protocol_from_doc(_grouped(text))
+        except (ValueError, TypeError, RecursionError):
+            pass
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("protocol file nests deeper than the JSON decoder allows") from None
+    return protocol_from_doc(doc)

@@ -25,11 +25,16 @@ from meqlab.core import materialize, rules
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def checkout_env() -> dict:
+    """The environment for a new interpreter that imports meqlab from this
+    checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def fresh_python(code: str) -> str:
     """stdout of `code` run by a new interpreter that imports meqlab from
     this checkout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=checkout_env(), check=True, capture_output=True,
                           text=True, timeout=60).stdout
 
 

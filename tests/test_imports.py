@@ -1,16 +1,20 @@
 """What importing meqlab costs: a bare `import meqlab` loads no submodule, no
 command loads dataclasses, inspect, typing or the search module `coloring`
 it does not run, none loads argparse at import, and the package still
-offers every public name, read from its home module on each access."""
+offers every public name, read from its home module on each access. Every
+function the benchmark traces, and what it reads from the results, exists."""
 
+import importlib.util
 import json
+import sys
 from collections import Counter
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
 import meqlab
-from meqlab import EnumerationBudgetError, SearchBudgetError, coloring, verify
+from meqlab import EnumerationBudgetError, SearchBudgetError, coloring, table36, verify
 from meqlab.cli import run
 from meqlab.verify import BudgetError
 
@@ -105,3 +109,19 @@ def test_search_budget_error_exits_3_with_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "budget exceeded: graph budget 5 exhausted in size triple (1, 2, 2); 2 size triples undecided\n"
+
+
+def test_every_name_the_benchmark_calls_resolves(monkeypatch):
+    # the benchmark records a missing function as a null metric and still
+    # exits 0, so a rename would otherwise pass unnoticed
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name in tracing.TRACED:
+        assert callable(getattr(import_module(f"meqlab.{module}"), name, None)), f"meqlab.{module}.{name}"
+    # what the benchmark's jobs and checks read from the results
+    witness = meqlab.optimal_search(6, max_alphabet=9).witness
+    assert witness.graph.edges and witness.colors
+    assert meqlab.verify_ad(table36()).vectors_checked == 6**3

@@ -454,8 +454,8 @@ def test_table_save_is_bounded_by_the_chunk(tmp_path):
     ids=["table36", "cd-extended", "cd-star-4-16"],
 )
 def test_load_leaves_no_garbage_cycles(tmp_path, build):
-    # load_protocol pauses the collector on the premise that nothing it
-    # decodes or builds forms a reference cycle
+    # nothing load_protocol decodes or builds forms a reference cycle, so
+    # the collector has nothing to reclaim after it
     p = build()
     path = tmp_path / "p.json"
     save_protocol(p, path)
@@ -474,7 +474,7 @@ def test_load_leaves_few_tracked_objects(tmp_path):
     save_protocol(cd_wrapper(star_protocol(4, 16)), path)
     gc.collect()
     was = gc.isenabled()
-    gc.disable()  # load_protocol then leaves it off, so no pass empties generation 0 before the count
+    gc.disable()  # so no pass empties generation 0 before the count
     try:
         before = len(gc.get_objects(0))
         loaded = load_protocol(path)
@@ -497,18 +497,6 @@ def test_general_load_peaks_near_twice_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * path.stat().st_size
-
-
-def test_load_pauses_the_collector(tmp_path, monkeypatch):
-    seen = []
-    build = serial.protocol_from_doc
-    monkeypatch.setattr(serial, "protocol_from_doc", lambda doc: seen.append(gc.isenabled()) or build(doc))
-    path = tmp_path / "p.json"
-    save_protocol(table36(), path)
-    assert gc.isenabled()
-    assert load_protocol(path) == table36()
-    assert seen == [False]
-    assert gc.isenabled()
 
 
 def write_good(path):
@@ -536,6 +524,7 @@ def write_nested(path):
     ids=["good", "malformed", "missing", "nested"],
 )
 def test_load_restores_the_collector(tmp_path, enabled, write, error, message):
+    # load leaves the collector setting as it found it, on success or failure
     path = tmp_path / "p.json"
     if write is not None:
         write(path)
@@ -673,6 +662,19 @@ def two_faults(doc):
     table[7]["input"] = True
 
 
+def repeat_then_fault(doc):
+    # every entry is checked before a repeat is reported
+    table = doc["decisions"][1]["table"]
+    table.insert(1, dict(table[0]))
+    table[6]["out"] = "1"
+
+
+def repeats_abba(doc):
+    # entries A, B, B, A: the key repeated first in list order, A, is named
+    table = doc["decisions"][1]["table"]
+    table[2:2] = [dict(table[1]), dict(table[0])]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -693,9 +695,13 @@ def two_faults(doc):
         (set_table("steps", 0, {"input": 1, "history": [], "out": 1}),
          "step 1 table must be a JSON list, got dict"),
         (two_faults, "node 3 decision table entry lacks field 'out'"),
+        (repeat_then_fault,
+         "node 2 decision table entry {'input': 2, 'history': [3], 'out': '1'} "
+         "is not integer input, history and output"),
+        (repeats_abba, "node 2 decision table has more than one entry for (input, history) (1, (1,))"),
     ],
     ids=["not-an-object", "string-history", "bool-input", "float-in-history",
-         "missing-out", "repeated-key", "not-a-list", "first-of-two"],
+         "missing-out", "repeated-key", "not-a-list", "first-of-two", "repeat-then-fault", "abba"],
 )
 def test_loader_errors_exit_one(tmp_path, capsys, edit, message):
     doc = protocol_to_doc(table_to_general(table36()))
