@@ -11,9 +11,9 @@ import sys
 # each library module and its public names; `__all__` is their union
 _EXPORTS = {
     "coloring": (
-        "BipartiteRep", "ColoringInstance", "EdgeCollisionError", "OptimalResult",
-        "SearchBudgetError", "TripleStats", "conflict_pairs", "optimal_search",
-        "protocol_from_coloring", "strong_edge_color",
+        "BipartiteRep", "ColoringInstance", "OptimalResult", "SearchBudgetError",
+        "TripleStats", "conflict_pairs", "optimal_search", "protocol_from_coloring",
+        "strong_edge_color",
     ),
     "constructions": (
         "cd_wrapper", "complexity_formula_2k", "extended_table", "meq3_2k",

@@ -22,47 +22,6 @@ EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
-# Each subcommand's help, its mutually exclusive options (whether one is
-# required, and which) and its arguments with their argparse keywords, in
-# help order. `_parse` and `_build_parser` both read this table.
-_SUBCOMMANDS = {
-    "build": ("write a stock protocol to a file", None, (
-        ("what", {"choices": ["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"]}),
-        ("base", {"nargs": "?", "help": "base protocol file (cdwrap only)"}),
-        ("--n", {"type": int}),
-        ("--M", {"type": int}),
-        ("--k", {"type": int}),
-        ("--h", {"type": int}),
-        ("--budget", {"type": int, "help": "enumeration budget (cdwrap only)"}),
-        ("--out", {"required": True}),
-    )),
-    "simulate": ("replay a protocol on one input vector", None, (
-        ("file", {}),
-        ("--x", {"required": True, "help": "comma-separated inputs, e.g. 1,2,1"}),
-    )),
-    "verify": ("exhaustively check a protocol file", (False, ("--ad", "--cd")), (
-        ("file", {}),
-        ("--ad", {"action": "store_true", "help": "anyone-detects contract (default)"}),
-        ("--cd", {"action": "store_true", "help": "centralized-detect contract"}),
-        ("--detector", {"type": int}),
-        ("--budget", {"type": int, "default": DEFAULT_BUDGET}),
-    )),
-    "transform": ("rewrite a protocol file", (True, ("--flip", "--iid")), (
-        ("file", {}),
-        ("--flip", {"type": int, "metavar": "L", "help": "reverse step L"}),
-        ("--iid", {"action": "store_true", "help": "normalize to per-link tables"}),
-        ("--out", {"required": True}),
-    )),
-    "search": ("exact three-node optimum for alphabet size M", None, (
-        ("--M", {"type": int, "required": True}),
-        ("--out", {"help": "write the witness protocol here"}),
-    )),
-    "figure": ("CSV of binary-construction cost vs the 2k baseline", None, (
-        ("--kmax", {"type": int, "required": True}),
-    )),
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -81,7 +40,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    _, group, arguments = _SUBCOMMANDS[argv[0]]
+    _, group, arguments, _ = _SUBCOMMANDS[argv[0]]
     options = dict(arguments)
     values = {"command": argv[0]}
     positionals = []  # (place in argv[1:], word)
@@ -138,7 +97,7 @@ def _build_parser():
 
     parser = Parser(prog="meqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, group, arguments) in _SUBCOMMANDS.items():
+    for name, (help, group, arguments, _) in _SUBCOMMANDS.items():
         command = sub.add_parser(name, help=help)
         exclusive = group and command.add_mutually_exclusive_group(required=group[0])
         for argument, keywords in arguments:
@@ -243,13 +202,45 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "transform": _cmd_transform,
-    "search": _cmd_search,
-    "figure": _cmd_figure,
+# Each subcommand's help, its mutually exclusive options (whether one is
+# required, and which), its arguments with their argparse keywords, in help
+# order, and its handler. `_parse`, `_build_parser` and `run` all read this
+# table, so a subcommand or option is declared in its row alone.
+_SUBCOMMANDS = {
+    "build": ("write a stock protocol to a file", None, (
+        ("what", {"choices": ["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"]}),
+        ("base", {"nargs": "?", "help": "base protocol file (cdwrap only)"}),
+        ("--n", {"type": int}),
+        ("--M", {"type": int}),
+        ("--k", {"type": int}),
+        ("--h", {"type": int}),
+        ("--budget", {"type": int, "help": "enumeration budget (cdwrap only)"}),
+        ("--out", {"required": True}),
+    ), _cmd_build),
+    "simulate": ("replay a protocol on one input vector", None, (
+        ("file", {}),
+        ("--x", {"required": True, "help": "comma-separated inputs, e.g. 1,2,1"}),
+    ), _cmd_simulate),
+    "verify": ("exhaustively check a protocol file", (False, ("--ad", "--cd")), (
+        ("file", {}),
+        ("--ad", {"action": "store_true", "help": "anyone-detects contract (default)"}),
+        ("--cd", {"action": "store_true", "help": "centralized-detect contract"}),
+        ("--detector", {"type": int}),
+        ("--budget", {"type": int, "default": DEFAULT_BUDGET}),
+    ), _cmd_verify),
+    "transform": ("rewrite a protocol file", (True, ("--flip", "--iid")), (
+        ("file", {}),
+        ("--flip", {"type": int, "metavar": "L", "help": "reverse step L"}),
+        ("--iid", {"action": "store_true", "help": "normalize to per-link tables"}),
+        ("--out", {"required": True}),
+    ), _cmd_transform),
+    "search": ("exact three-node optimum for alphabet size M", None, (
+        ("--M", {"type": int, "required": True}),
+        ("--out", {"help": "write the witness protocol here"}),
+    ), _cmd_search),
+    "figure": ("CSV of binary-construction cost vs the 2k baseline", None, (
+        ("--kmax", {"type": int, "required": True}),
+    ), _cmd_figure),
 }
 
 
@@ -259,7 +250,7 @@ def run(argv: list[str]) -> int:
         budget = getattr(args, "budget", None)  # only build and verify take a budget
         if budget is not None and budget < 1:
             raise _UsageError("--budget must be at least 1")
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][3](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,15 +18,6 @@ from .core import Frozen, TableProtocol, check_int, check_size, dense_link
 from .verify import BudgetError, _agreeing_input, _smallest_join
 
 
-class EdgeCollisionError(ValueError):
-    """Two input values produce identical symbols on both of node 1's links,
-    so no receiver can tell them apart."""
-
-    def __init__(self, x1: int, x2: int):
-        self.pair = (x1, x2)
-        super().__init__(f"inputs {x1} and {x2} collide on both outgoing links")
-
-
 class BipartiteRep(Frozen):
     """Simple bipartite graph whose edges stand for the input values.
 
@@ -46,7 +37,7 @@ class BipartiteRep(Frozen):
                     and 1 <= check_int(v, "edge endpoint") <= V_size):
                 raise ValueError(f"edge {x} endpoint ({u},{v}) out of range")
             if (u, v) in seen:
-                raise EdgeCollisionError(seen[(u, v)], x)
+                raise ValueError(f"inputs {seen[(u, v)]} and {x} collide on both outgoing links")
             seen[(u, v)] = x
         self._set(U_size, V_size, edges)
 

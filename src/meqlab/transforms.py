@@ -112,7 +112,8 @@ def make_iid(p: Protocol) -> TableProtocol:
     """
     p = checked(p)
     schedule, send, _ = rules(p)
-    runs = [replay(schedule, send, lambda node: x)[0] for x in range(1, p.M + 1)]
+    # a protocol with no step has nothing to replay, however large M is
+    runs = [replay(schedule, send, lambda node: x)[0] for x in range(1, p.M + 1)] if schedule else []
 
     by_link: dict[tuple[int, int], list[int]] = {}
     for l, step in enumerate(schedule):

@@ -405,10 +405,11 @@ def outcome(argv, exact=True):
     handlers that only record the namespace they are given. `exact=False`
     turns off the parse without argparse."""
     seen = []
-    handlers = {name: lambda args: seen.append(typed(args)) or 0 for name in cli._COMMANDS}
+    rows = {name: (*row[:3], lambda args: seen.append(typed(args)) or 0)
+            for name, row in cli._SUBCOMMANDS.items()}
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(cli, "_COMMANDS", handlers))
+        stack.enter_context(mock.patch.object(cli, "_SUBCOMMANDS", rows))
         if not exact:
             stack.enter_context(mock.patch.object(cli, "_parse", lambda argv: None))
         stack.enter_context(contextlib.redirect_stdout(out))
@@ -559,7 +560,7 @@ def parent_parser():
     return parser
 
 
-@pytest.mark.parametrize("argv", [["-h"], *([name, "-h"] for name in cli._COMMANDS)], ids=" ".join)
+@pytest.mark.parametrize("argv", [["-h"], *([name, "-h"] for name in cli._SUBCOMMANDS)], ids=" ".join)
 def test_help_texts_are_unchanged(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit:

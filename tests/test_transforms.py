@@ -361,3 +361,15 @@ def test_make_iid_of_a_wide_linkless_table_allocates_nothing_per_node():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_make_iid_of_a_linkless_table_replays_no_input():
+    # with no step there is nothing to replay, so M all-equal runs are never built
+    p = TableProtocol(3, 10**6, ())
+    tracemalloc.start()
+    try:
+        assert make_iid(p) == p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meqlab import (
-    EdgeCollisionError,
     GeneralProtocol,
     LinkTable,
     Step,
@@ -213,7 +212,7 @@ def test_correct_iff_distinct_edges_strongly_coloured(t):
     every conflict pair of the resulting graph."""
     try:
         pairs = conflict_pairs(to_bipartite(t))
-    except EdgeCollisionError:
+    except ValueError:
         reduced = False
     else:
         bc = link(t, 2, 3).symbols
