@@ -17,7 +17,7 @@ _EXPORTS = {
     ),
     "constructions": (
         "cd_wrapper", "complexity_formula_2k", "extended_table", "meq3_2k",
-        "parallel_compose", "star_protocol", "table36",
+        "par6h", "parallel_compose", "star_protocol", "table36",
     ),
     "core": (
         "Complexity", "GeneralProtocol", "LinkTable", "MalformedProtocolError", "Protocol",

@@ -113,37 +113,25 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _cmd_build(args) -> int:
-    readers = {"--budget": ("cdwrap",), "base": ("cdwrap",), "--n": ("star",), "--M": ("star",),
-               "--k": ("bin2k",), "--h": ("ext6h", "par6h")}
     given = {name: value for name, value in vars(args).items() if value is not None}
-    for option, builders in readers.items():
-        if option.lstrip("-") in given and args.what not in builders:
-            raise _UsageError(f"{option} applies only to build {' or '.join(builders)}")
-    defaults = {"base": None, "n": 3, "M": 6, "k": 1, "h": 1, "budget": DEFAULT_BUDGET}
-    args = SimpleNamespace(**{**defaults, **given})
-    if args.what == "star":
-        p = constructions.star_protocol(args.n, args.M)
-    elif args.what == "table36":
-        p = constructions.table36()
-    elif args.what == "ext6h":
-        p = constructions.extended_table(args.h)
-    elif args.what == "par6h":
-        if args.h < 1:
-            raise ValueError("h must be at least 1")
-        constructions.check_table_size(3, 6, args.h)
-        p = constructions.parallel_compose(constructions.table36(), 6**args.h)
-    elif args.what == "bin2k":
-        p = constructions.meq3_2k(args.k)
-    else:
-        if not args.base:
-            raise _UsageError("build cdwrap needs a base protocol file")
-        base = serial.load_protocol(args.base)
-        if not isinstance(base, TableProtocol):
-            raise _UsageError("cdwrap expects a table-kind protocol file")
-        p = constructions.cd_wrapper(base, args.budget)
+    for option, _ in _SUBCOMMANDS["build"][2]:
+        readers = [what for what, (options, _) in _BUILDERS.items() if option in dict(options)]
+        if option.lstrip("-") in given and readers and args.what not in readers:
+            raise _UsageError(f"{option} applies only to build {' or '.join(readers)}")
+    options, build = _BUILDERS[args.what]
+    p = build(*(given.get(option.lstrip("-"), default) for option, default in options))
     serial.save_protocol(p, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def _wrapped(base, budget):
+    if not base:
+        raise _UsageError("build cdwrap needs a base protocol file")
+    base = serial.load_protocol(base)
+    if not isinstance(base, TableProtocol):
+        raise _UsageError("cdwrap expects a table-kind protocol file")
+    return constructions.cd_wrapper(base, budget)  # read at call time, so a tracer's wrapper is seen
 
 
 def _cmd_simulate(args) -> int:
@@ -202,13 +190,25 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
+# Each builder's options, in the order its callable takes them, with their
+# defaults, and the callable. `build`'s choices, its refusals of the options a
+# builder never reads, its defaults and its dispatch all read this table.
+_BUILDERS = {
+    "star": ((("--n", 3), ("--M", 6)), constructions.star_protocol),
+    "table36": ((), constructions.table36),
+    "ext6h": ((("--h", 1),), constructions.extended_table),
+    "par6h": ((("--h", 1),), constructions.par6h),
+    "bin2k": ((("--k", 1),), constructions.meq3_2k),
+    "cdwrap": ((("base", None), ("--budget", DEFAULT_BUDGET)), _wrapped),
+}
+
 # Each subcommand's help, its mutually exclusive options (whether one is
 # required, and which), its arguments with their argparse keywords, in help
 # order, and its handler. `_parse`, `_build_parser` and `run` all read this
 # table, so a subcommand or option is declared in its row alone.
 _SUBCOMMANDS = {
     "build": ("write a stock protocol to a file", None, (
-        ("what", {"choices": ["star", "table36", "ext6h", "par6h", "bin2k", "cdwrap"]}),
+        ("what", {"choices": _BUILDERS}),  # the table itself, so a row added later is a choice
         ("base", {"nargs": "?", "help": "base protocol file (cdwrap only)"}),
         ("--n", {"type": int}),
         ("--M", {"type": int}),

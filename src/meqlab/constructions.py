@@ -116,6 +116,14 @@ def parallel_compose(base: TableProtocol, M: int) -> TableProtocol:
     return TableProtocol(base.n, M, tuple(links))
 
 
+def par6h(h: int) -> TableProtocol:
+    """table36() run once per base-6 digit of 1..6**h; table36() itself at h=1."""
+    if check_int(h, "h") < 1:
+        raise ValueError("h must be at least 1")
+    check_table_size(3, 6, h)
+    return parallel_compose(table36(), 6**h)
+
+
 def meq3_2k(k: int) -> TableProtocol:
     """Binary-framed three-node protocol for M = 2**k.
 

@@ -416,8 +416,9 @@ def decided_rectangles(p: GeneralProtocol) -> Iterator:
     for sets, histories in rectangles(p.n, p.M, schedule, send):
         bits = []
         for node, (xs, h) in enumerate(zip(sets, histories), 1):
-            try:  # one row per node and leaf; the rule decides a node without a table, or names the missing entry
-                bits.append(list(map(getitem, repeat(p.decisions[node][h]), xs)))
+            table = p.decisions.get(node)  # None for a node that always decides 0; an empty table is no such node
+            try:  # one row per node and leaf; the rule names a missing entry
+                bits.append([0] * len(xs) if table is None else list(map(getitem, repeat(table[h]), xs)))
             except KeyError:
                 bits.append([decide(node, x, h) for x in xs])
         yield sets, bits

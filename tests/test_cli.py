@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meqlab import LinkTable, TableProtocol, cli, load_protocol, save_protocol, table36, table_to_general
+from meqlab import (
+    LinkTable, TableProtocol, cli, load_protocol, save_protocol, star_protocol, table36, table_to_general,
+)
 from meqlab.cli import run
 
 from conftest import checkout_env, fresh_python, link
@@ -635,6 +637,12 @@ def test_closed_stdout_exits_141_in_silence(buffered, kmax, lines_read):
         (["bin2k", "--h", "2"], "--h applies only to build ext6h or par6h"),
         (["table36", "nothere.json"], "base applies only to build cdwrap"),
         (["ext6h", "--n", "3"], "--n applies only to build star"),
+        (["cdwrap", "t.json", "--h", "2"], "--h applies only to build ext6h or par6h"),
+        (["star", "--budget", "5"], "--budget applies only to build cdwrap"),
+        # of two stray options, the one `build` declares first is refused
+        (["table36", "--n", "3", "--budget", "5"], "--n applies only to build star"),
+        (["table36", "--budget", "5", "--n", "3"], "--n applies only to build star"),
+        (["bin2k", "nothere.json", "--budget", "5"], "base applies only to build cdwrap"),
     ],
 )
 def test_build_refuses_options_its_builder_never_reads(tmp_path, capsys, argv, message):
@@ -642,6 +650,30 @@ def test_build_refuses_options_its_builder_never_reads(tmp_path, capsys, argv, m
     assert run(["build", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def test_a_builder_is_one_row(monkeypatch, tmp_path, capsys):
+    # a row added to the table alone is a choice of both parsers, has its
+    # defaults and refusals, and shows in the help
+    monkeypatch.setitem(cli._BUILDERS, "star2", ((("--n", 4),), lambda n: star_protocol(n, 2)))
+    out = tmp_path / "s.json"
+    for argv, built in ((["build", "star2", "--out", str(out)], star_protocol(4, 2)),
+                        (["build", "star2", "--n", "3", "--out", str(out)], star_protocol(3, 2))):
+        assert cli._parse(argv) is not None
+        assert run(argv) == 0
+        assert load_protocol(out) == built
+    assert outcome(["build", "star2", "--n", "3", "--out", "s.json"]) == \
+        outcome(["build", "star2", "--n", "3", "--out", "s.json"], exact=False)
+    capsys.readouterr()
+    assert run(["build", "star2", "--M", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: --M applies only to build star\n"
+    assert run(["build", "table36", "--n", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: --n applies only to build star or star2\n"
+    assert run(["build", "star3", "--out", str(out)]) == 1
+    assert "'star2'" in capsys.readouterr().err  # argparse's invalid choice lists the choices
+    with pytest.raises(SystemExit):
+        run(["build", "-h"])
+    assert "{star,table36,ext6h,par6h,bin2k,cdwrap,star2}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

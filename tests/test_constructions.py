@@ -10,6 +10,7 @@ from meqlab import (
     complexity_formula_2k,
     extended_table,
     meq3_2k,
+    par6h,
     parallel_compose,
     simulate,
     star_protocol,
@@ -109,6 +110,7 @@ def test_binary_construction_rejects_k_below_one(build):
         (lambda: complexity_formula_2k(2.5), "k must be an integer, got 2.5"),
         (lambda: meq3_2k(True), "k must be an integer, got True"),
         (lambda: extended_table(1.5), "h must be an integer, got 1.5"),
+        pytest.param(lambda: par6h(1.5), "h must be an integer, got 1.5", id="par6h"),
         (lambda: parallel_compose(table36(), 2.5), "M must be an integer, got 2.5"),
         (lambda: star_protocol(3, 2.5), "M must be an integer, got 2.5"),
         (lambda: star_protocol(3, 0), "alphabet size must be positive"),
@@ -122,6 +124,8 @@ def test_family_sizes_must_be_integers(build, message):
 
 def test_parallel_compose_h1_is_base():
     assert parallel_compose(table36(), 6) == table36()
+    assert par6h(1) == table36()
+    assert par6h(2) == parallel_compose(table36(), 36)
 
 
 def test_parallel_compose_h2():
@@ -246,12 +250,14 @@ def test_first_node_never_detects():
         (lambda: meq3_2k(10**15), "3 link tables of 2**1000000000000000 entries"),
         (lambda: extended_table(12), "3 link tables of 6**12 entries"),
         (lambda: extended_table(10**15), "3 link tables of 6**1000000000000000 entries"),
+        (lambda: par6h(12), "3 link tables of 6**12 entries"),
+        (lambda: par6h(10**15), "3 link tables of 6**1000000000000000 entries"),
         (lambda: star_protocol(3, 10**9), "2 link tables of 1000000000 entries"),
         (lambda: star_protocol(2 * 10**8, 1), "199999999 link tables of 1 entries"),
         (lambda: parallel_compose(table36(), 10**9), "3 link tables of 1000000000 entries"),
         (lambda: check_table_size(3, 2, 25), "3 link tables of 2**25 entries"),
     ],
-    ids=["bin2k", "bin2k_huge_k", "ext6h", "ext6h_huge_h", "star_M", "star_n", "compose", "just_over"],
+    ids=["bin2k", "bin2k_huge_k", "ext6h", "ext6h_huge_h", "par6h", "par6h_huge_h", "star_M", "star_n", "compose", "just_over"],
 )
 def test_builders_refuse_oversized_tables_before_allocating(build, message):
     # a huge exponent is refused by comparing it, never by computing the power
@@ -280,10 +286,11 @@ def test_table_size_budget_is_links_times_M():
     [
         (lambda: meq3_2k(3), 3 * 8),
         (lambda: extended_table(2), 3 * 36),
+        (lambda: par6h(2), 3 * 36),
         (lambda: star_protocol(4, 5), 3 * 5),
         (lambda: parallel_compose(table36(), 10), 3 * 10),
     ],
-    ids=["bin2k", "ext6h", "star", "compose"],
+    ids=["bin2k", "ext6h", "par6h", "star", "compose"],
 )
 def test_each_builder_checks_its_table_entries_against_the_budget(monkeypatch, build, entries):
     monkeypatch.setattr(constructions, "DEFAULT_BUDGET", entries - 1)

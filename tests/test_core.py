@@ -11,6 +11,7 @@ from meqlab import (
     Step,
     TableProtocol,
     complexity,
+    make_iid,
     simulate,
     star_protocol,
     table36,
@@ -18,7 +19,7 @@ from meqlab import (
     verify_ad,
     verify_cd,
 )
-from meqlab.core import materialize, rectangles, rules
+from meqlab.core import checked, materialize, rectangles, rules
 
 from conftest import entries, eq_oracle, rows, tighten
 
@@ -88,6 +89,15 @@ def test_missing_decision_entry_is_malformed():
     p = GeneralProtocol(2, 2, (step,), {2: rows({(1, (1,)): 0})})
     with pytest.raises(MalformedProtocolError):
         simulate(p, (1, 2))
+
+
+def test_empty_decision_table_is_malformed():
+    # an empty table is not an absent one: its node still has a decision to look up
+    step = Step(1, 2, rows({(1, ()): 1, (2, ()): 1}), 1)
+    p = GeneralProtocol(2, 2, (step,), {2: {}})
+    for check in (checked, verify_ad, verify_cd, make_iid):
+        with pytest.raises(MalformedProtocolError, match=r"^node 2: no decision for \(1, \(1,\)\)$"):
+            check(p)
 
 
 def test_complexity_values():

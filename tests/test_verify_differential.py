@@ -22,6 +22,7 @@ from meqlab import (
     conflict_pairs,
     flip_step,
     extended_table,
+    make_iid,
     meq3_2k,
     parallel_compose,
     star_protocol,
@@ -275,6 +276,18 @@ def general_protocols(draw):
 @given(general_protocols())
 def test_random_general_protocols_match_brute_force(p):
     assert_matches_oracle(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_protocols(max_n=4, max_M=5), st.data())
+def test_general_protocols_missing_decision_tables_match_brute_force(t, data):
+    # a node without a decision table decides 0 everywhere, which the walk
+    # gives it without asking the rule once per input
+    p = table_to_general(t)
+    kept = data.draw(st.sets(st.sampled_from(sorted(p.decisions)), max_size=p.n - 1))
+    q = GeneralProtocol(p.n, p.M, p.steps, {node: p.decisions[node] for node in kept})
+    assert_matches_oracle(q)
+    assert make_iid(q) == t
 
 
 def join_oracle(M, outgoing, domains):
