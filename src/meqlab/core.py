@@ -210,7 +210,10 @@ class LinkTable(Frozen):
             raise ValueError("sender and receiver must differ")
         if not symbols:
             raise ValueError("empty symbol table")
-        top = max(check_int(sym, "symbol") for sym in symbols)
+        if not set(map(type, symbols)) <= {int}:  # a column at a time; the loop only words the error
+            for sym in symbols:
+                check_int(sym, "symbol")
+        top = max(symbols)
         if set(symbols) != set(range(1, top + 1)):
             raise ValueError(f"symbols {sorted(set(symbols))} are not a dense 1..{top} range")
         if range_size == 0:
@@ -388,24 +391,31 @@ def rectangles(n: int, M: int, schedule: list[tuple[int, int]], send) -> Iterato
     ``send(l, x, h_T)`` and appends the symbol to R's history. At a leaf,
     sets[i] lists node i+1's inputs in ascending order and histories[i] what
     it received; every input lies in exactly one leaf. The cost follows the
-    number of rectangles, not M**n. Leaves come depth first.
+    number of rectangles, not M**n. Leaves come depth first, each in lists
+    of its own.
+
+    A frame of the walk owns its two lists. The first child of a step
+    continues in them, in place; only a step that splits copies them, once
+    for each other child. So a step that sends one symbol copies nothing.
     """
-    # (depth, sets, histories) of unexplored tree vertices, the next on top. A
-    # loop, not recursion, since a schedule may outgrow the recursion limit.
+    # (depth, sets, histories) of unexplored frames, the next on top. A loop,
+    # not recursion, since a schedule may outgrow the recursion limit.
     stack = [(0, [range(1, M + 1)] * n, [()] * n)]
     while stack:
         l, sets, histories = stack.pop()
-        if l == len(schedule):
-            yield sets, histories
-            continue
-        t, r = schedule[l][0] - 1, schedule[l][1] - 1
-        groups = {}
-        for x in sets[t]:
-            groups.setdefault(send(l, x, histories[t]), []).append(x)
-        for sym, xs in reversed(groups.items()):
-            child_sets, child_histories = sets.copy(), histories.copy()
-            child_sets[t], child_histories[r] = xs, histories[r] + (sym,)
-            stack.append((l + 1, child_sets, child_histories))
+        for l in range(l, len(schedule)):
+            t, r = schedule[l][0] - 1, schedule[l][1] - 1
+            groups = {}
+            for x in sets[t]:
+                groups.setdefault(send(l, x, histories[t]), []).append(x)
+            sym = next(iter(groups))
+            xs = groups.pop(sym)
+            for other, ys in reversed(groups.items()):
+                child_sets, child_histories = sets.copy(), histories.copy()
+                child_sets[t], child_histories[r] = ys, histories[r] + (other,)
+                stack.append((l + 1, child_sets, child_histories))
+            sets[t], histories[r] = xs, histories[r] + (sym,)
+        yield sets, histories
 
 
 def decided_rectangles(p: GeneralProtocol) -> Iterator:
@@ -413,10 +423,11 @@ def decided_rectangles(p: GeneralProtocol) -> Iterator:
     i+1's decision on its input sets[i][j]. Reads every reachable entry, so
     a missing one raises MalformedProtocolError."""
     schedule, send, decide = rules(p)
+    # None for a node that always decides 0; an empty table is no such node
+    tables = [p.decisions.get(node) for node in range(1, p.n + 1)]
     for sets, histories in rectangles(p.n, p.M, schedule, send):
         bits = []
-        for node, (xs, h) in enumerate(zip(sets, histories), 1):
-            table = p.decisions.get(node)  # None for a node that always decides 0; an empty table is no such node
+        for node, (xs, h, table) in enumerate(zip(sets, histories, tables), 1):
             try:  # one row per node and leaf; the rule names a missing entry
                 bits.append([0] * len(xs) if table is None else list(map(getitem, repeat(table[h]), xs)))
             except KeyError:

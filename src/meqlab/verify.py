@@ -19,6 +19,7 @@ smaller counterexample exists.
 """
 
 import math
+from collections import defaultdict
 from itertools import compress
 from operator import not_
 
@@ -104,35 +105,99 @@ def _smallest_join(M: int, outgoing, domains) -> tuple[tuple[int, ...] | None, i
     agrees along every link, or None; and the number of partial assignments
     made.
 
-    outgoing[j] lists pairs (r, agreeing) with r > j: agreeing[x-1] holds
-    node r's inputs that agree with node j holding x. Nodes are assigned
-    depth first in order 1..n, each trying its domain in ascending order, so
-    complete assignments appear in lexicographic order and at most M
-    constant ones come before the answer. With forward checking (Haralick
-    and Elliott, AIJ 1980), a value is dropped when it would empty the
-    domain of a node it links to, since it then has no complete extension;
-    a kept one passes on the narrowed domains, each the intersection of one
-    agreeing set per assigned sender. `coloring.strong_edge_color` calls it
-    too, with a graph's edges as positions and colors as values: a conflict
-    pair links its lower edge to its higher one, agreeing on every color
-    but the sender's.
+    outgoing[j] lists pairs (r, agreeing), at most one per r > j:
+    agreeing[x-1] holds node r's inputs that agree with node j holding x.
+    Nodes are assigned depth first in order 1..n, each trying its domain in
+    ascending order, so complete assignments appear in lexicographic order
+    and at most M constant ones come before the answer. With forward
+    checking (Haralick and Elliott, AIJ 1980), a value is dropped when it
+    would empty the domain of a node it links to, since it then has no
+    complete extension; a kept one passes on the narrowed domains, each the
+    intersection of one agreeing set per assigned sender.
+
+    A candidate shares its parent's domain list. The list is copied at the
+    first link that narrows a domain, so a node linking to no one, or a
+    value refused at its first link, copies nothing; a refused value
+    allocates no set either, as a held domain is tested with `isdisjoint`
+    before it is intersected. The last node links to no one, so it is not
+    enumerated: its answer is the smallest value of its domain that leaves
+    the input non-constant, and `nodes` counts the values an enumeration
+    would have tried, that value and the constant one below it. The node
+    before it links to the last one at most, so its values are tried in one
+    loop that narrows only the last domain, with no list copied and no
+    frame pushed.
+
+    `coloring.strong_edge_color` calls it too, with a graph's edges as
+    positions and colors as values: a conflict pair links its lower edge to
+    its higher one, agreeing on every color but the sender's.
     """
     n = len(domains)
+    if n == 1:  # every input of one node is constant
+        return None, len(range(1, M + 1) if domains[0] is None else domains[0])
 
     def candidates(j: int, domains):
+        links = outgoing[j]
         for x in range(1, M + 1) if domains[j] is None else sorted(domains[j]):
-            narrowed = list(domains)
-            for r, agreeing in outgoing[j]:
-                domain = agreeing[x - 1] if narrowed[r] is None else narrowed[r] & agreeing[x - 1]
-                if not domain:
+            narrowed = domains
+            for r, agreeing in links:
+                held, agree = domains[r], agreeing[x - 1]
+                if held is None:
+                    if not agree:
+                        break
+                    domain = agree
+                elif held.isdisjoint(agree):
                     break
+                else:
+                    domain = held & agree
+                    if len(domain) == len(held):
+                        continue
+                if narrowed is domains:
+                    narrowed = domains.copy()
                 narrowed[r] = domain
             else:
                 yield x, narrowed
 
     values = [0] * n
-    stack = [candidates(0, domains)]
     nodes = 0
+    # node n-1 links to node n at most, and node n to no one
+    last_link = outgoing[-2][0][1] if outgoing[-2] else None
+
+    def finish(domains):
+        """The answer once values[:n-2] are held and `domains` narrowed by
+        them, or None; nodes n-1 and n are counted as enumerated."""
+        nonlocal nodes
+        held = domains[-1]
+        # values[-2:] are still 0, so the count spans the first n-2 values
+        c = values[0] if n > 2 and values.count(values[0]) == n - 2 else None
+        for y in range(1, M + 1) if domains[-2] is None else sorted(domains[-2]):
+            last = held
+            if last_link is not None:
+                agree = last_link[y - 1]
+                if held is None:
+                    if not agree:
+                        continue
+                    last = agree
+                elif held.isdisjoint(agree):
+                    continue
+                else:
+                    last = held & agree
+            nodes += 1
+            every = range(1, M + 1) if last is None else last
+            x = min(every, default=None)
+            if x == y and (n == 2 or y == c):
+                nodes += 1  # the constant input, tried and passed over
+                # a domain of one value holds no other
+                x = min((z for z in every if z != x), default=None) if len(every) > 1 else None
+            if x is not None:
+                values[-2:] = y, x
+                nodes += 1
+                return tuple(values)
+        return None
+
+    if n == 2:
+        found = finish(domains)
+        return found, nodes
+    stack = [candidates(0, domains)]
     while stack:
         pair = next(stack[-1], None)
         if pair is None:
@@ -141,10 +206,12 @@ def _smallest_join(M: int, outgoing, domains) -> tuple[tuple[int, ...] | None, i
         depth = len(stack)
         values[depth - 1], narrowed = pair
         nodes += 1
-        if depth < n:
+        if depth < n - 2:
             stack.append(candidates(depth, narrowed))
-        elif values.count(values[0]) < n:
-            return tuple(values), nodes
+            continue
+        found = finish(narrowed)
+        if found:
+            return found, nodes
     return None, nodes
 
 
@@ -162,11 +229,13 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[tuple[int, ...] | 
     reachable entry raises MalformedProtocolError whatever the verdict.
     """
     best, leaves = None, 0
+    flags = [node in checked for node in range(1, p.n + 1)]
+    linkless = [()] * p.n
     for sets, bits in decided_rectangles(p):
         leaves += 1
         zs, raised = [], set()
-        for node, (xs, bs) in enumerate(zip(sets, bits), 1):
-            if node in checked:
+        for xs, bs, flagged in zip(sets, bits, flags):
+            if flagged:
                 zs.append(list(compress(xs, map(not_, bs))))
                 raised.update(compress(xs, bs))
             else:
@@ -174,7 +243,7 @@ def _smallest_violation(p: GeneralProtocol, checked) -> tuple[tuple[int, ...] | 
         constant = min(raised.intersection(*sets), default=None)
         # an empty Z_i leaves nothing to find, and would send the join through
         # every choice before it; with none empty it passes one constant vector at most
-        unflagged = _smallest_join(p.M, [()] * p.n, zs)[0] if all(zs) else None
+        unflagged = _smallest_join(p.M, linkless, zs)[0] if all(zs) else None
         for values in (unflagged, constant and (constant,) * p.n):
             if values and (best is None or values < best):
                 best = values
@@ -189,9 +258,9 @@ def _agreeing_input(t: TableProtocol, links) -> tuple[tuple[int, ...] | None, in
     the bucket of the symbol it sends."""
     outgoing = [[] for _ in range(t.n)]
     for lk in links:
-        buckets = {}
+        buckets = defaultdict(set)
         for x, sym in enumerate(lk.symbols, 1):
-            buckets.setdefault(sym, set()).add(x)
+            buckets[sym].add(x)
         outgoing[lk.sender - 1].append((lk.receiver - 1, [buckets[sym] for sym in lk.symbols]))
     return _smallest_join(t.M, outgoing, [None] * t.n)
 

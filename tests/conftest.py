@@ -299,3 +299,58 @@ def search_oracle(M: int):
             continue
         return a * b * c, (a, b, c), tuple(infeasible), witness
     raise AssertionError("search space exhausted without a feasible triple")
+
+
+def join_reference(M: int, outgoing, domains) -> tuple[tuple[int, ...] | None, int]:
+    """`meqlab.verify._smallest_join` as it stood before it shared domain
+    lists: every candidate copies the n-long list and every node, the last
+    one too, is enumerated. Returns the same (values, nodes)."""
+    n = len(domains)
+
+    def candidates(j: int, domains):
+        for x in range(1, M + 1) if domains[j] is None else sorted(domains[j]):
+            narrowed = list(domains)
+            for r, agreeing in outgoing[j]:
+                domain = agreeing[x - 1] if narrowed[r] is None else narrowed[r] & agreeing[x - 1]
+                if not domain:
+                    break
+                narrowed[r] = domain
+            else:
+                yield x, narrowed
+
+    values = [0] * n
+    stack = [candidates(0, domains)]
+    nodes = 0
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        depth = len(stack)
+        values[depth - 1], narrowed = pair
+        nodes += 1
+        if depth < n:
+            stack.append(candidates(depth, narrowed))
+        elif values.count(values[0]) < n:
+            return tuple(values), nodes
+    return None, nodes
+
+
+def rectangles_reference(n: int, M: int, schedule, send):
+    """`meqlab.core.rectangles` as it stood before frames were walked in
+    place: every child copies both n-long lists. Yields the same leaves in
+    the same order."""
+    stack = [(0, [range(1, M + 1)] * n, [()] * n)]
+    while stack:
+        l, sets, histories = stack.pop()
+        if l == len(schedule):
+            yield sets, histories
+            continue
+        t, r = schedule[l][0] - 1, schedule[l][1] - 1
+        groups = {}
+        for x in sets[t]:
+            groups.setdefault(send(l, x, histories[t]), []).append(x)
+        for sym, xs in reversed(groups.items()):
+            child_sets, child_histories = sets.copy(), histories.copy()
+            child_sets[t], child_histories[r] = xs, histories[r] + (sym,)
+            stack.append((l + 1, child_sets, child_histories))

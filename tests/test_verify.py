@@ -15,6 +15,7 @@ from meqlab import (
     extended_table,
     fooling_lower_bound,
     make_iid,
+    meq3_2k,
     simulate,
     star_protocol,
     table36,
@@ -102,10 +103,17 @@ def test_budget_must_be_an_integer(check):
 
 def test_star_join_is_pruned():
     # forward checking leaves each sender one value per collector input, so
-    # 100**4 vectors are decided in at most 4*100 partial assignments
+    # 100**4 vectors are decided in 4*100 partial assignments
     verdict = verify_ad(star_protocol(4, 100))
     assert verdict.ok and verdict.vectors_checked == 10**8
-    assert 0 < verdict.nodes <= 4 * 100
+    assert verdict.nodes == 4 * 100
+
+
+def test_bin2k_join_nodes_are_pinned():
+    # the join's partial assignments on a correct bin2k table, a count
+    # that changes only if the search order or its pruning does
+    verdict = verify_ad(meq3_2k(7))
+    assert verdict.ok and verdict.nodes == 384
 
 
 def test_nodes_count_work_but_not_equality():

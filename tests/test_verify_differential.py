@@ -32,14 +32,17 @@ from meqlab import (
     verify_cd,
 )
 
+from meqlab.core import rectangles, rules
 from meqlab.verify import _smallest_join
 
 from conftest import (
     STAR_SIZES,
     brute_force_verdicts,
     entries,
+    join_reference,
     link,
     random_correct_protocol,
+    rectangles_reference,
     relabelled_star,
     rows,
     to_bipartite,
@@ -304,7 +307,9 @@ def join_oracle(M, outgoing, domains):
 
 @st.composite
 def joins(draw):
-    n = draw(st.integers(1, 4))
+    """A join of 1 to 5 nodes over 1..M, M <= 5: each domain is None or a
+    set, empty ones included, and each pair j < r is linked or not."""
+    n = draw(st.integers(1, 5))
     M = draw(st.integers(1, 5))
     values = st.sets(st.integers(1, M))
     domains = [draw(st.none() | values) for _ in range(n)]
@@ -321,9 +326,41 @@ def test_join_matches_product_oracle(join):
     assert _smallest_join(*join)[0] == join_oracle(*join)
 
 
+@settings(max_examples=500, deadline=None)
+@given(joins())
+def test_join_matches_reference_nodes(join):
+    # shared domain lists and the unenumerated last node must count the
+    # partial assignments the copying search made, one by one
+    assert _smallest_join(*join) == join_reference(*join)
+
+
 @pytest.mark.parametrize(
     "domains, smallest",
     [([[1], [1, 2], [1]], (1, 2, 1)), ([[1, 3], [1]], (3, 1)), ([[2], [2], [2]], None)],
 )
 def test_join_without_links(domains, smallest):
-    assert _smallest_join(3, [()] * len(domains), domains)[0] == smallest
+    found = _smallest_join(3, [()] * len(domains), domains)
+    assert found[0] == smallest
+    assert found == join_reference(3, [()] * len(domains), domains)
+
+
+def assert_leaves_match_reference(p):
+    schedule, send, _ = rules(p)
+    leaves = list(rectangles(p.n, p.M, schedule, send))
+    assert leaves == list(rectangles_reference(p.n, p.M, schedule, send))
+    # a frame walked in place must not share its lists with another leaf
+    assert len({id(lists) for leaf in leaves for lists in leaf}) == 2 * len(leaves)
+
+
+@pytest.mark.parametrize("p", [*STOCK.values(), cd_wrapper(star_protocol(4, 16))],
+                         ids=[*STOCK.keys(), "cdwrap-star-4-16"])
+def test_stock_leaves_match_reference(p):
+    assert_leaves_match_reference(p)
+    if isinstance(p, TableProtocol):
+        assert_leaves_match_reference(table_to_general(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_protocols())
+def test_random_general_leaves_match_reference(p):
+    assert_leaves_match_reference(p)
